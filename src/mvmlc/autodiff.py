@@ -14,6 +14,13 @@ rely on this mode.
 Tensors are treated as immutable after construction; gradient arrays are
 never mutated in place, only rebound, so sharing buffers between records is
 safe.
+
+Dtype rule: in the binary primitives (``add``, ``sub``, ``mul``, ``div`` and
+their operators, reflected ones included) an operand that is not a Tensor,
+such as a Python scalar or a plain ndarray, takes the dtype of the Tensor
+operand. A float32 model therefore computes, records and differentiates in
+float32, and a float64 model in float64. Two Tensors of different dtypes
+still promote by numpy's rules.
 """
 
 from __future__ import annotations
@@ -183,6 +190,15 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _as_tensors(a, b) -> tuple[Tensor, Tensor]:
+    """Operands of a binary primitive; a non-Tensor takes the Tensor's dtype."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(b, dtype=a.data.dtype)
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(a, dtype=b.data.dtype), b
+    return _as_tensor(a), _as_tensor(b)
+
+
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(out_data)
     tape = _active_tape()
@@ -211,7 +227,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -220,7 +236,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
@@ -229,7 +245,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
 
     def backward(g):
         return (
@@ -241,7 +257,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
 
     def backward(g):
         return (
@@ -282,7 +298,14 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacked-matmul semantics (operands >= 2-D)."""
+    """Matrix product with numpy stacked-matmul semantics (operands >= 2-D).
+
+    An operand with more than two axes times a 2-D weight, as in a linear
+    layer over (n, t, d), is computed with its leading axes flattened: the
+    forward product, the input gradient and the weight gradient
+    ``a2.T @ g2`` are each one 2-D GEMM. Other shapes, such as attention's
+    batched ``q @ k^T``, use the stacked product.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionMismatch(
@@ -292,6 +315,16 @@ def matmul(a, b) -> Tensor:
         raise DimensionMismatch(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
+
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+
+        def backward_flat(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+        return _make(out, (a, b), backward_flat)
 
     def backward(g):
         return (

@@ -44,7 +44,9 @@ class ModelConfig:
     layers_v / layers_c: depth of the view and class-token encoders;
     dropout: rate used after attention output projections and inside MLP
     blocks; gamma: exponent of the fusion weights exp(a**gamma); dtype:
-    "float32" for training, "float64" for verification.
+    "float32" for training, "float64" for verification. The model computes,
+    records and differentiates in this dtype: scalars and plain arrays
+    combined with its tensors take the tensor's dtype.
     """
 
     d_e: int = 128
@@ -243,14 +245,18 @@ def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str):
     Returns (mixed, probs) where mixed is the concatenated head outputs
     (n, t, d_e) before the output projection and probs is (n, h, t, t).
     """
-    cfg = params.config
-    n, t, _ = x.shape
+    q, k, v = (ad.matmul(x, params[f"{prefix}.{name}"]) for name in ("wq", "wk", "wv"))
+    return _attend(q, k, v, mask, params.config)
 
-    def heads(weight_name):
-        proj = ad.matmul(x, params[f"{prefix}.{weight_name}"])
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, mask, cfg: ModelConfig):
+    """Split (n, t, d_e) projections into heads, attend, and merge the heads."""
+    n, t, _ = q.shape
+
+    def heads(proj):
         return ad.transpose(proj.reshape((n, t, cfg.heads, cfg.d_h)), (0, 2, 1, 3))
 
-    q, k, v = heads("wq"), heads("wk"), heads("wv")
+    q, k, v = heads(q), heads(k), heads(v)
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(cfg.d_h))
     if mask is None:
         probs = ad.softmax(scores)
@@ -263,15 +269,51 @@ def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str):
 
 def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str,
                    train: bool, rng) -> Tensor:
-    cfg = params.config
     normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"],
                            eps=LAYER_NORM_EPS)
     mixed, _ = masked_attention(normed, mask, params, prefix)
+    return _encoder_tail(x, mixed, params, prefix, train, rng)
+
+
+def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str,
+                  train: bool, rng) -> Tensor:
+    """Output projection, attention residual, and the pre-norm MLP residual."""
+    cfg = params.config
     attended = ad.matmul(mixed, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
     x = x + ad.dropout(attended, cfg.dropout, rng=rng, train=train)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"],
                            eps=LAYER_NORM_EPS)
     return x + _mlp_block(normed, params, f"{prefix}.mlp_", train, rng)
+
+
+def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
+                        train: bool, rng) -> Tensor:
+    """An encoder layer over [fused, cls] tokens whose c class tokens are the
+    same for every sample.
+
+    LayerNorm-1 and the Q/K/V projections are row-wise, so the class tokens
+    need them once, not once per sample: the n fused rows and the c class
+    tokens are normalized and projected together as one (n + c, d_e) matrix,
+    and the class rows are broadcast over the batch. Everything from the
+    attention scores on is per sample. numpy computes a one-row product with
+    gemv, which can round differently from a GEMM; projecting the n + c >= 2
+    rows together keeps every product a GEMM, so in float64 the output is
+    bit-identical to ``_encoder_layer`` over the concatenated tokens.
+    """
+    n, d = fused.shape
+    c = params.n_labels
+    cls = params["cls"]
+    tokens = ad.concat([fused.reshape((n, 1, d)), ad.broadcast_to(cls, (n, c, d))], axis=1)
+    normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
+                           params[f"{prefix}.ln1_b"], eps=LAYER_NORM_EPS)
+
+    def project(name):
+        proj = ad.matmul(normed, params[f"{prefix}.{name}"])
+        return ad.concat([proj[:n].reshape((n, 1, d)), ad.broadcast_to(proj[n:], (n, c, d))],
+                         axis=1)
+
+    mixed, _ = _attend(project("wq"), project("wk"), project("wv"), None, params.config)
+    return _encoder_tail(tokens, mixed, params, prefix, train, rng)
 
 
 def masked_self_attention(x, view_mask, params: ModelParams, layer: int = 0,
@@ -326,19 +368,15 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams,
 
     Returns (consensus, class_states): the first output token (n, d_e) and
     the per-sample class-token states (n, c, d_e). The same learned tokens
-    feed every sample; attention specializes them per sample.
+    feed every sample; attention specializes them per sample. Layer 0 sees
+    the class tokens before any sample has touched them, so it projects them
+    once (``_shared_token_layer``); deeper layers run per sample.
     """
     cfg = params.config
-    n = fused.shape[0]
-    c = params.n_labels
     if fused.ndim != 2 or fused.shape[1] != cfg.d_e:
         raise DimensionMismatch(f"fused states have shape {fused.shape}; expected (n, {cfg.d_e})")
-    tokens = ad.concat(
-        [fused.reshape((n, 1, cfg.d_e)),
-         ad.broadcast_to(params["cls"].reshape((1, c, cfg.d_e)), (n, c, cfg.d_e))],
-        axis=1,
-    )
-    for layer in range(cfg.layers_c):
+    tokens = _shared_token_layer(fused, params, "cls_enc.0", train, rng)
+    for layer in range(1, cfg.layers_c):
         tokens = _encoder_layer(tokens, None, params, f"cls_enc.{layer}", train, rng)
     return tokens[:, 0, :], tokens[:, 1:, :]
 

@@ -87,6 +87,13 @@ class TestMatmul:
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((4, 5))
         check_gradients(lambda ts: (ad.matmul(ts[0], ts[1]) ** 2).sum(), [a, b])
+        a4 = rng.standard_normal((2, 2, 3, 4))
+        check_gradients(lambda ts: (ad.matmul(ts[0], ts[1]) ** 2).sum(), [a4, b])
+        # the transpose is a strided view, so the left operand is non-contiguous
+        a_t = rng.standard_normal((3, 2, 4))
+        check_gradients(
+            lambda ts: (ad.matmul(ad.transpose(ts[0], (1, 0, 2)), ts[1]) ** 2).sum(), [a_t, b]
+        )
 
 
 class TestElementwise:
@@ -110,6 +117,14 @@ class TestElementwise:
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4,))
         check_gradients(lambda ts: ((ts[0] + ts[1]) * ts[1]).sum(), [a, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plain_operand_takes_tensor_dtype(self, dtype):
+        t = ad.Tensor(np.array([1.0, 2.0], dtype=dtype))
+        wide = np.array([0.5, 4.0])  # float64 array
+        for out in (t + 0.5, 0.5 + t, t - 0.5, 0.5 - t, t * 0.5, 0.5 * t, t / 4.0, 4.0 / t,
+                    ad.mul(t, wide), ad.add(wide, t)):
+            assert out.dtype == dtype
 
     def test_power_gradient(self):
         rng = np.random.default_rng(4)

@@ -6,12 +6,15 @@ be asserted cheaply; one test uses a real subprocess to check wiring.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvmlc
 from mvmlc import data
 from mvmlc.cli import main, read_config_file
 
@@ -204,9 +207,12 @@ class TestGradcheck:
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same mvmlc as this process, however it was found
+        src = str(Path(mvmlc.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "mvmlc", *synth_args(tmp_path / "ds", n=20)],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["n"] == 20

@@ -229,6 +229,49 @@ class TestClassTokenEncoder:
         np.testing.assert_allclose(perm_c.data, base_c.data, atol=1e-12)
         np.testing.assert_allclose(perm_s.data, base_s.data[:, perm, :], atol=1e-12)
 
+    @staticmethod
+    def _generic_layers(fused, params, train=False, rng=None):
+        """Every layer, layer 0 included, run per sample over the tokens."""
+        n, d = fused.shape
+        c = params.n_labels
+        tokens = ad.concat([fused.reshape((n, 1, d)), ad.broadcast_to(params["cls"], (n, c, d))],
+                           axis=1)
+        for layer in range(params.config.layers_c):
+            tokens = M._encoder_layer(tokens, None, params, f"cls_enc.{layer}", train, rng)
+        return tokens
+
+    @pytest.mark.parametrize("layers_c", [1, 2])
+    def test_shared_first_layer_is_bit_identical(self, layers_c):
+        params = tiny_params(layers_c=layers_c)
+        fused = Tensor(np.random.default_rng(13).standard_normal((5, 8)))
+        for train in (False, True):
+            ref = self._generic_layers(fused, params, train, np.random.default_rng(14)).data
+            consensus, states = M.class_token_encoder_forward(
+                fused, params, train=train, rng=np.random.default_rng(14))
+            np.testing.assert_array_equal(consensus.data, ref[:, 0])
+            np.testing.assert_array_equal(states.data, ref[:, 1:])
+
+    @pytest.mark.parametrize("layers_c", [1, 2])
+    def test_shared_first_layer_gradients_match(self, layers_c):
+        params = tiny_params(layers_c=layers_c, dropout=0.0)
+        rng = np.random.default_rng(15)
+        fused = Tensor(rng.standard_normal((5, 8)))
+        weights = Tensor(rng.standard_normal((5, 5, 8)))
+        names = ["cls"] + [name for name in params.names() if name.startswith("cls_enc.0.")]
+
+        def grads(tokens):
+            params.zero_grads()
+            with ad.Tape() as tape:
+                tape.backward((tokens() * weights).sum())
+            return [params[name].grad for name in names]
+
+        def shared():
+            consensus, states = M.class_token_encoder_forward(fused, params)
+            return ad.concat([consensus.reshape((5, 1, 8)), states], axis=1)
+
+        for got, want in zip(grads(shared), grads(lambda: self._generic_layers(fused, params))):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_tokens_specialize_per_sample(self):
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(12)

@@ -76,6 +76,46 @@ class TestAdam:
             adam_step(params, {"w": np.zeros(3)}, AdamState(params), TrainConfig(seed=0))
 
 
+class DtypeTape(Tape):
+    """Tape that keeps the dtype of every recorded output."""
+
+    def __init__(self):
+        super().__init__()
+        self.dtypes = []
+
+    def record(self, out, inputs, backward):
+        self.dtypes.append(out.dtype)
+        super().record(out, inputs, backward)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_training_step_stays_in_model_dtype(self, dtype):
+        ds = small_dataset(n=40, m=3)
+        mc = ModelConfig(d_e=16, heads=2, dropout=0.1, dtype=dtype)
+        tc = TrainConfig(epochs=1, batch_size=40)
+        params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
+        ctx = losses.LossContext.build(ds.labels, ds.label_mask, tc.alpha, tc.beta)
+        t_b, u_b = ctx.batch(np.arange(ds.n))
+        with DtypeTape() as tape:
+            out = M.forward(ds.views, ds.view_mask, params, train=True,
+                            rng=np.random.default_rng(0))
+            l_mc = losses.masked_bce(out.p_main, ds.labels, ds.label_mask)
+            l_ac = losses.masked_bce(out.p_tokens, ds.labels, ds.label_mask)
+            l_gc = losses.graph_constraint_loss(out.view_states, t_b, u_b, ds.view_mask)
+            loss = losses.total_loss(l_mc, l_gc, l_ac, tc.alpha, tc.beta)
+            tape.backward(loss)
+        want = np.dtype(dtype)
+        assert set(tape.dtypes) == {want}
+        assert loss.dtype == want
+        grads = {name: p.grad for name, p in params.items()}
+        assert all(g is not None and g.dtype == want for g in grads.values())
+        state = AdamState(params)
+        adam_step(params, grads, state, tc)
+        for name, p in params.items():
+            assert p.dtype == state.m[name].dtype == state.v[name].dtype == want
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
