@@ -199,9 +199,9 @@ def cmd_train(args) -> int:
     checkpoint = out / "model.ckpt"
     train_config = _train_config(options, str(checkpoint))
     train_config.seed = stage_seed[3]
-    log(f"training on {train_ds.n} rows ({test_ds.n} held out), "
-        f"{ModelParams.initialize(model_config, train_ds.view_dims, train_ds.c).num_parameters()} parameters")
+    log(f"training on {train_ds.n} rows ({test_ds.n} held out)")
     params, history = train(model_config, train_config, train_ds, eval_dataset=test_ds)
+    log(f"trained {params.num_parameters()} parameters")
     history.save_jsonl(out / "history.jsonl")
 
     report = evaluate(params, test_ds)

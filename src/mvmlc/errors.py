@@ -5,10 +5,6 @@ class DimensionMismatch(ValueError):
     """Operand or file shapes do not agree."""
 
 
-# Optimizer-facing alias; same failure class.
-ShapeMismatch = DimensionMismatch
-
-
 class AllMaskedRow(ValueError):
     """A softmax row has no unmasked position to attend to."""
 
@@ -55,3 +51,7 @@ class NoEvaluableSamples(ValueError):
 
 class NoEvaluableLabels(ValueError):
     """Every label column is degenerate for the requested metric."""
+
+
+class NonFiniteScores(ValueError):
+    """A score matrix handed to the ranking metrics contains NaN."""

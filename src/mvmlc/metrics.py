@@ -5,9 +5,13 @@ use an explicit tie convention: ties count half in pairwise comparisons, and
 average-precision ranks break ties by ascending label index so results are
 deterministic.
 
+Each metric is a whole-matrix numpy pass: one sort along the rows (AP,
+1 - RL) or the columns (AUC) of the score matrix, then cumulative sums, so
+the cost is a few sorts per matrix and the temporaries are O(n * c).
+
 Degenerate rows/columns (no positive label for AP; missing a positive or a
 negative for the pairwise metrics) are skipped and counted rather than
-scored.
+scored. A NaN score has no place in a ranking and raises NonFiniteScores.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples
+from .errors import DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonFiniteScores
 
 
 def _validate(scores, labels):
@@ -27,93 +31,82 @@ def _validate(scores, labels):
         raise DimensionMismatch(f"scores {s.shape} and labels {y.shape} must be equal 2-D shapes")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary")
+    if np.isnan(s).any():
+        raise NonFiniteScores(f"{int(np.isnan(s).sum())} of {s.size} scores are NaN")
     return s, y
 
 
-def _tie_average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n in ascending order of x, ties sharing their average rank."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    average = (upper - counts + 1 + upper) / 2.0
-    return average[inverse]
+# The _*_with_counts helpers take the float64 (scores, labels) pair that
+# _validate returns and give (total, evaluated, skipped).
 
-
-def _ap_with_counts(scores, labels):
-    s, y = _validate(scores, labels)
+def _ap_with_counts(s, y):
     n, c = s.shape
-    columns = np.arange(c)
-    total = 0.0
-    evaluated = 0
-    for i in range(n):
-        positives = np.flatnonzero(y[i] == 1)
-        if positives.size == 0:
-            continue
-        # descending score, ties broken by ascending label index
-        order = np.lexsort((columns, -s[i]))
-        ranks = np.empty(c)
-        ranks[order] = np.arange(1, c + 1)
-        pos_ranks = np.sort(ranks[positives])
-        precision_at_pos = np.arange(1, positives.size + 1) / pos_ranks
-        total += precision_at_pos.mean()
-        evaluated += 1
-    return total, evaluated, n - evaluated
+    # descending score, ties broken by ascending label index (stable sort)
+    order = np.argsort(-s, axis=1, kind="stable")
+    hits = np.take_along_axis(y, order, axis=1)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, c + 1)
+    n_pos = hits.sum(axis=1)
+    has_pos = n_pos > 0
+    total = ((precision * hits).sum(axis=1)[has_pos] / n_pos[has_pos]).sum()
+    evaluated = int(has_pos.sum())
+    return float(total), evaluated, n - evaluated
 
 
 def average_precision(scores, labels) -> float:
     """Mean over samples of the average precision of their label ranking."""
-    total, evaluated, _ = _ap_with_counts(scores, labels)
+    total, evaluated, _ = _ap_with_counts(*_validate(scores, labels))
     if evaluated == 0:
         raise NoEvaluableSamples("no sample has a positive label")
     return total / evaluated
 
 
-def _rl_with_counts(scores, labels):
-    s, y = _validate(scores, labels)
-    n, _ = s.shape
-    total = 0.0
-    evaluated = 0
-    for i in range(n):
-        pos = y[i] == 1
-        neg = ~pos
-        n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        if n_pos == 0 or n_neg == 0:
-            continue
-        ranks = _tie_average_ranks(s[i])
-        # Mann-Whitney count of concordant (pos above neg) pairs, ties at 0.5
-        concordant = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-        total += 1.0 - concordant / (n_pos * n_neg)
-        evaluated += 1
-    return total, evaluated, n - evaluated
+def _concordance(s, y):
+    """Per row: the fraction of (positive, negative) pairs whose positive
+    scores higher, a tie counting half, and whether the row has both kinds."""
+    rows, k = s.shape
+    order = np.argsort(s, axis=1)  # the order inside a tie group is irrelevant
+    sorted_s = np.take_along_axis(s, order, axis=1)
+    # 1-based ascending ranks; a tie group spans ranks start..end
+    rank = np.broadcast_to(np.arange(1, k + 1), (rows, k))
+    first = np.ones((rows, k), dtype=bool)
+    first[:, 1:] = sorted_s[:, 1:] != sorted_s[:, :-1]
+    last = np.ones((rows, k), dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    start = np.maximum.accumulate(np.where(first, rank, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, rank, k + 1)[:, ::-1], axis=1)[:, ::-1]
+    pos = np.take_along_axis(y, order, axis=1)
+    n_pos = pos.sum(axis=1)
+    n_neg = k - n_pos
+    ok = (n_pos > 0) & (n_neg > 0)
+    # Mann-Whitney count of concordant (pos above neg) pairs, ties at 0.5
+    concordant = ((start + end) / 2.0 * pos).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    return concordant[ok] / (n_pos[ok] * n_neg[ok]), ok
+
+
+def _rl_with_counts(s, y):
+    fraction, ok = _concordance(s, y)
+    evaluated = int(ok.sum())
+    return float((1.0 - fraction).sum()), evaluated, s.shape[0] - evaluated
 
 
 def one_minus_ranking_loss(scores, labels) -> float:
     """1 minus the mean fraction of mis-ordered (positive, negative) label
     pairs per sample; a tie counts as half a violation."""
-    total, evaluated, _ = _rl_with_counts(scores, labels)
+    total, evaluated, _ = _rl_with_counts(*_validate(scores, labels))
     if evaluated == 0:
         raise NoEvaluableSamples("no sample has both a positive and a negative label")
     return 1.0 - total / evaluated
 
 
-def _auc_with_counts(scores, labels):
-    s, y = _validate(scores, labels)
-    _, c = s.shape
-    total = 0.0
-    evaluated = 0
-    for j in range(c):
-        pos = y[:, j] == 1
-        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-        if n_pos == 0 or n_neg == 0:
-            continue
-        ranks = _tie_average_ranks(s[:, j])
-        total += (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        evaluated += 1
-    return total, evaluated, c - evaluated
+def _auc_with_counts(s, y):
+    fraction, ok = _concordance(s.T, y.T)
+    evaluated = int(ok.sum())
+    return float(fraction.sum()), evaluated, s.shape[1] - evaluated
 
 
 def macro_auc(scores, labels) -> float:
     """Mean over labels of the Mann-Whitney ROC AUC (ties credited 0.5)."""
-    total, evaluated, _ = _auc_with_counts(scores, labels)
+    total, evaluated, _ = _auc_with_counts(*_validate(scores, labels))
     if evaluated == 0:
         raise NoEvaluableLabels("no label has both a positive and a negative sample")
     return total / evaluated
@@ -152,9 +145,10 @@ class MetricsReport:
 
 def compute_report(scores, labels, meta: dict | None = None) -> MetricsReport:
     """All three metrics over one score matrix, with skip counts."""
-    ap_total, ap_eval, ap_skip = _ap_with_counts(scores, labels)
-    rl_total, rl_eval, rl_skip = _rl_with_counts(scores, labels)
-    auc_total, auc_eval, auc_skip = _auc_with_counts(scores, labels)
+    s, y = _validate(scores, labels)
+    ap_total, ap_eval, ap_skip = _ap_with_counts(s, y)
+    rl_total, rl_eval, rl_skip = _rl_with_counts(s, y)
+    auc_total, auc_eval, auc_skip = _auc_with_counts(s, y)
     if ap_eval == 0:
         raise NoEvaluableSamples("no sample has a positive label")
     if rl_eval == 0:
@@ -165,7 +159,7 @@ def compute_report(scores, labels, meta: dict | None = None) -> MetricsReport:
         ap=ap_total / ap_eval,
         one_minus_rl=1.0 - rl_total / rl_eval,
         auc=auc_total / auc_eval,
-        n_eval=np.asarray(scores).shape[0],
+        n_eval=s.shape[0],
         skipped={"ap_samples": ap_skip, "rl_samples": rl_skip, "auc_labels": auc_skip},
         meta=meta or {},
     )

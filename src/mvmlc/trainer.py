@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .data import MultiViewDataset
-from .errors import DegenerateMask, NonFiniteLoss, ShapeMismatch
+from .errors import DegenerateMask, DimensionMismatch, NonFiniteLoss
 from .losses import LossContext, graph_constraint_loss, masked_bce, total_loss
 from .metrics import MetricsReport, compute_report
 from .model import ModelConfig, ModelParams, forward, save_checkpoint
@@ -77,7 +77,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, config: TrainC
         if g is None:
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
-            raise ShapeMismatch(f"gradient for {name} has shape {g.shape}, parameter {p.data.shape}")
+            raise DimensionMismatch(f"gradient for {name} has shape {g.shape}, parameter {p.data.shape}")
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         update = (m / correct1) / (np.sqrt(v / correct2) + eps)

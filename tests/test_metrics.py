@@ -6,9 +6,12 @@ share code with the rank-based implementations they check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mvmlc import metrics as mx
-from mvmlc.errors import DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples
+from mvmlc.errors import DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonFiniteScores
 from oracles import (
     oracle_average_precision,
     oracle_macro_auc,
@@ -128,6 +131,13 @@ class TestInvariances:
         with pytest.raises(DimensionMismatch):
             mx.average_precision(np.ones((2, 3)), np.ones((3, 2)))
 
+    def test_nan_scores_raise(self):
+        scores = np.array([[0.9, np.nan, 0.1], [0.2, 0.8, np.nan], [0.5, 0.4, 0.3]])
+        labels = np.eye(3)
+        for f in (mx.compute_report, mx.average_precision, mx.one_minus_ranking_loss, mx.macro_auc):
+            with pytest.raises(NonFiniteScores):
+                f(scores, labels)
+
 
 class TestReport:
     def test_round_trip_and_ranges(self):
@@ -146,3 +156,68 @@ class TestReport:
         assert report.ap == mx.average_precision(scores, labels)
         assert report.one_minus_rl == mx.one_minus_ranking_loss(scores, labels)
         assert report.auc == mx.macro_auc(scores, labels)
+
+
+# A few values, signed zeros among them, so that most draws hold ties.
+TIED_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def tied_instances(draw):
+    """Scores from TIED_VALUES and labels in which some rows and columns are
+    forced to all 0 or all 1 (fill code -1 leaves the drawn labels)."""
+    n = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 12))
+    scores = draw(hnp.arrays(np.float64, (n, c), elements=st.sampled_from(TIED_VALUES)))
+    labels = draw(hnp.arrays(np.float64, (n, c), elements=st.sampled_from([0.0, 1.0])))
+    row_fill = draw(hnp.arrays(np.int8, n, elements=st.sampled_from([-1, -1, 0, 1])))
+    col_fill = draw(hnp.arrays(np.int8, c, elements=st.sampled_from([-1, -1, -1, 0, 1])))
+    labels[row_fill >= 0] = row_fill[row_fill >= 0, None]
+    labels[:, col_fill >= 0] = col_fill[col_fill >= 0]
+    return scores, labels
+
+
+class TestAgainstOraclesProperty:
+    @settings(derandomize=True, deadline=None)
+    @given(tied_instances())
+    def test_metrics_and_skip_counts(self, instance):
+        scores, labels = instance
+        n_pos_row = labels.sum(axis=1)
+        n_pos_col = labels.sum(axis=0)
+        n, c = labels.shape
+        cases = [
+            (mx.average_precision, mx._ap_with_counts, oracle_average_precision,
+             NoEvaluableSamples, n, int((n_pos_row == 0).sum())),
+            (mx.one_minus_ranking_loss, mx._rl_with_counts, oracle_one_minus_ranking_loss,
+             NoEvaluableSamples, n, int(((n_pos_row == 0) | (n_pos_row == c)).sum())),
+            (mx.macro_auc, mx._auc_with_counts, oracle_macro_auc,
+             NoEvaluableLabels, c, int(((n_pos_col == 0) | (n_pos_col == n)).sum())),
+        ]
+        for metric, with_counts, oracle, error, units, skipped in cases:
+            _, evaluated, counted = with_counts(scores, labels)
+            assert (evaluated, counted) == (units - skipped, skipped)
+            expected = oracle(scores, labels)
+            if expected is None:
+                with pytest.raises(error):
+                    metric(scores, labels)
+            else:
+                assert abs(metric(scores, labels) - expected) < 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(tied_instances())
+    def test_report_fields_equal_single_metrics(self, instance):
+        scores, labels = instance
+        try:
+            report = mx.compute_report(scores, labels)
+        except (NoEvaluableSamples, NoEvaluableLabels):
+            assert None in (oracle_average_precision(scores, labels),
+                            oracle_one_minus_ranking_loss(scores, labels),
+                            oracle_macro_auc(scores, labels))
+            return
+        assert report.ap == mx.average_precision(scores, labels)
+        assert report.one_minus_rl == mx.one_minus_ranking_loss(scores, labels)
+        assert report.auc == mx.macro_auc(scores, labels)
+        assert report.n_eval == scores.shape[0]
+        assert report.skipped == {"ap_samples": mx._ap_with_counts(scores, labels)[2],
+                                  "rl_samples": mx._rl_with_counts(scores, labels)[2],
+                                  "auc_labels": mx._auc_with_counts(scores, labels)[2]}

@@ -7,7 +7,7 @@ import mvmlc.trainer as trainer_mod
 from mvmlc import autodiff as ad
 from mvmlc import data, losses, model as M
 from mvmlc.autodiff import Tape, Tensor
-from mvmlc.errors import DegenerateMask, NonFiniteLoss, ShapeMismatch
+from mvmlc.errors import DegenerateMask, DimensionMismatch, NonFiniteLoss, NonFiniteScores
 from mvmlc.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from mvmlc.trainer import AdamState, TrainConfig, adam_step, evaluate, train
 
@@ -72,7 +72,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = self._params({"w": [1.0, 2.0]})
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             adam_step(params, {"w": np.zeros(3)}, AdamState(params), TrainConfig(seed=0))
 
 
@@ -253,6 +253,13 @@ class TestEvaluate:
         report = trainer_mod.compute_report(scores, masked.labels,
                                             meta={"n": masked.n, "m": masked.m, "c": masked.c})
         assert report.to_dict()["ap"] == base.ap
+
+    def test_diverged_parameters_raise(self):
+        ds = small_dataset()
+        params = ModelParams.initialize(ModelConfig(d_e=16, heads=2), ds.view_dims, ds.c, seed=0)
+        params["head_main.b"].data[0] = np.nan
+        with pytest.raises(NonFiniteScores):
+            evaluate(params, ds)
 
     def test_checkpoint_round_trip_evaluates_identically(self, tmp_path):
         ds = small_dataset()
