@@ -21,6 +21,20 @@ such as a Python scalar or a plain ndarray, takes the dtype of the Tensor
 operand. A float32 model therefore computes, records and differentiates in
 float32, and a float64 model in float64. Two Tensors of different dtypes
 still promote by numpy's rules.
+
+Fused primitives: every tape record costs Python overhead in the forward
+and the backward pass, and at small widths that overhead, not arithmetic,
+bounds a training step. Three composite operations are therefore single
+records with a hand-written backward:
+
+- ``linear(x, w, b)``: ``x @ w + b`` with any leading axes of ``x``
+  flattened, so forward and backward are each one 2-D GEMM.
+- ``attention(qkv, heads, mask)``: multi-head scaled dot-product attention
+  on packed query/key/value projections, from the head split through the
+  masked softmax to the merged heads. Masking goes through the same check
+  and MASK_FILL as ``masked_softmax``, so it stays bit-exact.
+- ``bce_with_logits(logits, targets, weights)``: binary cross-entropy in
+  logit space, which keeps a gradient where a float32 sigmoid saturates.
 """
 
 from __future__ import annotations
@@ -300,11 +314,8 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy stacked-matmul semantics (operands >= 2-D).
 
-    An operand with more than two axes times a 2-D weight, as in a linear
-    layer over (n, t, d), is computed with its leading axes flattened: the
-    forward product, the input gradient and the weight gradient
-    ``a2.T @ g2`` are each one 2-D GEMM. Other shapes, such as attention's
-    batched ``q @ k^T``, use the stacked product.
+    A linear layer should use ``linear``, which runs any number of leading
+    axes as one 2-D GEMM; this is for products such as ``q @ k^T``.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -316,16 +327,6 @@ def matmul(a, b) -> Tensor:
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
 
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-
-        def backward_flat(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
-
-        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
-        return _make(out, (a, b), backward_flat)
-
     def backward(g):
         return (
             _unbroadcast(g @ _swap_last(b.data), a.data.shape),
@@ -333,6 +334,41 @@ def matmul(a, b) -> Tensor:
         )
 
     return _make(a.data @ b.data, (a, b), backward)
+
+
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one tape record.
+
+    ``x`` may have any number of leading axes; they are flattened, so the
+    forward product, the input gradient and the weight gradient
+    ``x2.T @ g2`` are each one 2-D GEMM. ``w`` is (d_in, d_out) and the
+    optional bias ``b`` is (d_out,).
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionMismatch(
+            f"linear needs (..., k) @ (k, m), got {x.data.shape} @ {w.data.shape}"
+        )
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = x2 @ w.data
+    inputs = (x, w)
+    if b is not None:
+        b = _as_tensor(b)
+        if b.data.shape != w.data.shape[1:]:
+            raise DimensionMismatch(
+                f"linear bias has shape {b.data.shape}; expected {w.data.shape[1:]}"
+            )
+        out += b.data
+        inputs = (x, w, b)
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        # a layer's input is often data, whose gradient nobody reads
+        g_x = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        grads = (g_x, x2.T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
+
+    return _make(out.reshape(x.data.shape[:-1] + w.data.shape[1:]), inputs, backward)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -453,14 +489,19 @@ def sqrt(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp() only ever sees -|x|."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = _sigmoid(a.data)
 
     def backward(g):
         return (g * out_data * (1.0 - out_data),)
@@ -519,6 +560,17 @@ def _softmax_backward(p: np.ndarray):
     return backward
 
 
+def _mask_fill(scores: np.ndarray, mask) -> np.ndarray:
+    """Replace the logits where ``mask == 0`` by MASK_FILL, after checking
+    that the mask is 0/1-valued and leaves every row a position."""
+    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
+    if not np.all((m == 0) | (m == 1)):
+        raise NonBinary("mask entries must be exactly 0 or 1")
+    if np.any(np.all(m == 0, axis=-1)):
+        raise AllMaskedRow("mask contains a row with no available position")
+    return np.where(m == 0, MASK_FILL, scores)
+
+
 def softmax(a) -> Tensor:
     """Numerically stable softmax along the last axis."""
     a = _as_tensor(a)
@@ -535,16 +587,73 @@ def masked_softmax(scores, mask) -> Tensor:
     a row of all zeros has nothing to attend to and raises AllMaskedRow.
     """
     scores = _as_tensor(scores)
-    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
-    if not np.all((m == 0) | (m == 1)):
-        raise NonBinary("mask entries must be exactly 0 or 1")
-    if np.any(np.all(m == 0, axis=-1)):
-        raise AllMaskedRow("mask contains a row with no available position")
-    filled = np.where(m == 0, MASK_FILL, scores.data)
-    p = _softmax_last_axis(filled)
+    p = _softmax_last_axis(_mask_fill(scores.data, mask))
     # p is exactly 0 at masked positions, so the softmax Jacobian already
     # sends zero gradient to their logits.
     return _make(p, (scores,), _softmax_backward(p))
+
+
+def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
+    """Multi-head scaled dot-product self-attention as one tape record.
+
+    ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
+    along the last axis. Each is split into ``heads`` heads of width
+    d_h = d / heads; the scores ``q @ k^T / sqrt(d_h)`` go through a softmax
+    over the key axis, masked as in ``masked_softmax`` when ``mask`` (n, t, t)
+    is given, and mix the values. Returns ``(mixed, probs)``: the merged
+    head outputs (n, t, d) and the attention weights (n, heads, t, t).
+    ``probs`` is a constant for inspection; gradient flows through ``mixed``.
+
+    The backward pass reuses the stored weights instead of recomputing them
+    from ``qkv``: they hold n * heads * t * t values against the n * t * 3d
+    of ``qkv``, fewer whenever heads * t < 3d, as in both encoders here.
+    """
+    qkv = _as_tensor(qkv)
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
+        raise DimensionMismatch(
+            f"attention needs packed (n, t, 3 * d) projections with d divisible by "
+            f"heads={heads}, got {qkv.data.shape}"
+        )
+    n, t, d3 = qkv.data.shape
+    d = d3 // 3
+    d_h = d // heads
+    scale = qkv.data.dtype.type(1.0 / math.sqrt(d_h))
+    # (3, n, heads, t, d_h) views of the packed projections
+    q, k, v = qkv.data.reshape(n, t, 3, heads, d_h).transpose(2, 0, 3, 1, 4)
+    scores = (q @ _swap_last(k)) * scale
+    if mask is not None:
+        scores = _mask_fill(scores, np.asarray(mask)[:, None, :, :])
+    probs = _softmax_last_axis(scores)
+    mixed = (probs @ v).transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    def backward(g):
+        g_heads = g.reshape(n, t, heads, d_h).transpose(0, 2, 1, 3)
+        g_probs = g_heads @ _swap_last(v)
+        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        g_qkv = np.stack((g_scores @ k, _swap_last(g_scores) @ q, _swap_last(probs) @ g_heads))
+        return (g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, t, d3),)
+
+    return _make(mixed, (qkv,), backward), Tensor(probs)
+
+
+def bce_with_logits(logits, targets, weights) -> Tensor:
+    """Weighted binary cross-entropy of ``sigmoid(logits)`` as one tape record.
+
+    Returns ``sum(weights * (softplus(x) - y * x))``, the cross-entropy
+    written in logit space, so it needs no clamp and no log of a rounded
+    probability. Its gradient ``weights * (sigmoid(x) - y)`` stays useful
+    when a prediction saturates on the wrong side. ``targets`` and
+    ``weights`` are constants broadcastable to ``logits``.
+    """
+    logits = _as_tensor(logits)
+    x = logits.data
+    y = np.asarray(targets, dtype=x.dtype)
+    w = np.asarray(weights, dtype=x.dtype)
+
+    def backward(g):
+        return (g * w * (_sigmoid(x) - y),)
+
+    return _make((w * (np.logaddexp(0, x) - y * x)).sum(), (logits,), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

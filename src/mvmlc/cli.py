@@ -259,8 +259,8 @@ def cmd_gradcheck(args) -> int:
 
     def objective():
         out = forward(ds.views, ds.view_mask, params, train=False)
-        l_mc = losses.masked_bce(out.p_main, ds.labels, ds.label_mask)
-        l_ac = losses.masked_bce(out.p_tokens, ds.labels, ds.label_mask)
+        l_mc = losses.masked_bce(out.main_logits, ds.labels, ds.label_mask)
+        l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
         l_gc = losses.graph_constraint_loss(out.view_states, ctx.label_sim,
                                             ctx.pair_valid, ds.view_mask)
         return losses.total_loss(l_mc, l_gc, l_ac, ctx.alpha, ctx.beta)

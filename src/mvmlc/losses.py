@@ -22,8 +22,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegenerateMask
 
-# Probabilities and similarities are clamped here before any log; the floor
-# sits comfortably inside float32 resolution.
+# Similarities are clamped here before any log; the floor sits comfortably
+# inside float32 resolution.
 PROB_CLAMP = 1e-7
 # Embedding norms are floored at 1e-12 (squared: 1e-24) before division.
 NORM_FLOOR_SQ = 1e-24
@@ -111,16 +111,18 @@ def graph_constraint_loss(view_states: Tensor, label_sim: np.ndarray,
     return (bce * Tensor(pair_w.astype(dt))).sum() * (-1.0 / (2.0 * m))
 
 
-def masked_bce(probs: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Tensor:
-    """Binary cross-entropy averaged over known (sample, label) entries only."""
-    g = np.asarray(label_mask, dtype=probs.data.dtype)
+def masked_bce(logits: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Tensor:
+    """Binary cross-entropy of ``sigmoid(logits)`` averaged over known
+    (sample, label) entries only.
+
+    Computed in logit space (``ad.bce_with_logits``), so a prediction
+    saturated on the wrong side still gets a gradient of full size.
+    """
+    g = np.asarray(label_mask, dtype=logits.data.dtype)
     known = g.sum()
     if known == 0:
         raise DegenerateMask("masked BCE needs at least one known label")
-    y = np.asarray(labels, dtype=probs.data.dtype)
-    p = ad.clamp(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    terms = Tensor(y) * ad.log(p) + Tensor(1.0 - y) * ad.log(1.0 - p)
-    return (terms * Tensor(g)).sum() * (-1.0 / float(known))
+    return ad.bce_with_logits(logits, labels, g / known)
 
 
 def total_loss(l_mc: Tensor, l_gc: Tensor, l_ac: Tensor, alpha: float, beta: float) -> Tensor:

@@ -5,8 +5,12 @@ view-attention encoder exchanges information across available views only
 (missing views are masked out of every softmax), an adaptive weighting fuses
 the per-view states into one vector per sample, and a second encoder runs
 over [fused vector, c learnable class tokens] so categories can share
-information. c+1 sigmoid heads read the outputs: one multi-label head on the
+information. c+1 heads read the outputs: one multi-label head on the
 consensus token and one scalar head per class token.
+
+The heads emit logits. The losses work in logit space, and probabilities are
+made at the edge: ``ForwardPass.p_main`` and ``p_tokens`` apply the sigmoid
+when read, and ``evaluate`` ranks ``p_main``.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
@@ -21,7 +25,6 @@ the embedding width.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -202,9 +205,9 @@ class ModelParams:
 
 def _mlp_block(x: Tensor, params: ModelParams, prefix: str, train: bool, rng) -> Tensor:
     cfg = params.config
-    h = ad.gelu(ad.matmul(x, params[f"{prefix}w1"]) + params[f"{prefix}b1"])
+    h = ad.gelu(ad.linear(x, params[f"{prefix}w1"], params[f"{prefix}b1"]))
     h = ad.dropout(h, cfg.dropout, rng=rng, train=train)
-    h = ad.matmul(h, params[f"{prefix}w2"]) + params[f"{prefix}b2"]
+    h = ad.linear(h, params[f"{prefix}w2"], params[f"{prefix}b2"])
     return ad.dropout(h, cfg.dropout, rng=rng, train=train)
 
 
@@ -238,6 +241,12 @@ def attention_mask(view_mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _qkv_weight(params: ModelParams, prefix: str) -> Tensor:
+    """The layer's query, key and value weights packed as one (d_e, 3 d_e)
+    matrix, so the three projections are one GEMM."""
+    return ad.concat([params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")], axis=1)
+
+
 def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str):
     """Multi-head scaled dot-product attention over the token axis.
 
@@ -245,26 +254,7 @@ def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str):
     Returns (mixed, probs) where mixed is the concatenated head outputs
     (n, t, d_e) before the output projection and probs is (n, h, t, t).
     """
-    q, k, v = (ad.matmul(x, params[f"{prefix}.{name}"]) for name in ("wq", "wk", "wv"))
-    return _attend(q, k, v, mask, params.config)
-
-
-def _attend(q: Tensor, k: Tensor, v: Tensor, mask, cfg: ModelConfig):
-    """Split (n, t, d_e) projections into heads, attend, and merge the heads."""
-    n, t, _ = q.shape
-
-    def heads(proj):
-        return ad.transpose(proj.reshape((n, t, cfg.heads, cfg.d_h)), (0, 2, 1, 3))
-
-    q, k, v = heads(q), heads(k), heads(v)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(cfg.d_h))
-    if mask is None:
-        probs = ad.softmax(scores)
-    else:
-        probs = ad.masked_softmax(scores, np.asarray(mask)[:, None, :, :])
-    mixed = ad.matmul(probs, v)
-    mixed = ad.transpose(mixed, (0, 2, 1, 3)).reshape((n, t, cfg.d_e))
-    return mixed, probs
+    return ad.attention(ad.linear(x, _qkv_weight(params, prefix)), params.config.heads, mask)
 
 
 def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str,
@@ -279,7 +269,7 @@ def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str,
                   train: bool, rng) -> Tensor:
     """Output projection, attention residual, and the pre-norm MLP residual."""
     cfg = params.config
-    attended = ad.matmul(mixed, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
+    attended = ad.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     x = x + ad.dropout(attended, cfg.dropout, rng=rng, train=train)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"],
                            eps=LAYER_NORM_EPS)
@@ -306,27 +296,11 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
     tokens = ad.concat([fused.reshape((n, 1, d)), ad.broadcast_to(cls, (n, c, d))], axis=1)
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
                            params[f"{prefix}.ln1_b"], eps=LAYER_NORM_EPS)
-
-    def project(name):
-        proj = ad.matmul(normed, params[f"{prefix}.{name}"])
-        return ad.concat([proj[:n].reshape((n, 1, d)), ad.broadcast_to(proj[n:], (n, c, d))],
-                         axis=1)
-
-    mixed, _ = _attend(project("wq"), project("wk"), project("wv"), None, params.config)
+    proj = ad.linear(normed, _qkv_weight(params, prefix))
+    qkv = ad.concat([proj[:n].reshape((n, 1, 3 * d)), ad.broadcast_to(proj[n:], (n, c, 3 * d))],
+                    axis=1)
+    mixed, _ = ad.attention(qkv, params.config.heads)
     return _encoder_tail(tokens, mixed, params, prefix, train, rng)
-
-
-def masked_self_attention(x, view_mask, params: ModelParams, layer: int = 0,
-                          train: bool = False, rng=None) -> Tensor:
-    """One masked encoder layer. Accepts a single sample (m, d_e) with its
-    availability row (m,), or a batch (n, m, d_e) with rows (n, m)."""
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=params.config.np_dtype))
-    single = x.ndim == 2
-    w = np.atleast_2d(np.asarray(view_mask))
-    if single:
-        x = x.reshape((1,) + tuple(x.shape))
-    out = _encoder_layer(x, attention_mask(w), params, f"view_enc.{layer}", train, rng)
-    return out[0] if single else out
 
 
 def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams,
@@ -382,18 +356,17 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams,
 
 
 def predict(consensus: Tensor, class_states: Tensor, params: ModelParams):
-    """Sigmoid probabilities from the c+1 heads.
+    """Logits of the c+1 heads.
 
-    p_main (n, c) comes from the shared head on the consensus token and is
-    what inference and metrics use; p_tokens (n, c) stacks the c per-class
-    scalar heads, each reading only its own token.
+    main_logits (n, c) come from the shared head on the consensus token;
+    their sigmoid is what inference and metrics use. token_logits (n, c)
+    stack the c per-class scalar heads, each reading only its own token.
     """
     c = params.n_labels
     d = params.config.d_e
-    p_main = ad.sigmoid(ad.matmul(consensus, params["head_main.w"]) + params["head_main.b"])
+    main_logits = ad.linear(consensus, params["head_main.w"], params["head_main.b"])
     token_logits = (class_states * params["head_tokens.w"].reshape((1, c, d))).sum(axis=2)
-    p_tokens = ad.sigmoid(token_logits + params["head_tokens.b"])
-    return p_main, p_tokens
+    return main_logits, token_logits + params["head_tokens.b"]
 
 
 @dataclass
@@ -404,8 +377,18 @@ class ForwardPass:
     fused: Tensor            # (n, d_e) weighted fusion
     consensus: Tensor        # (n, d_e) first token of the class encoder
     class_states: Tensor     # (n, c, d_e) specialized class tokens
-    p_main: Tensor           # (n, c) main predictions
-    p_tokens: Tensor         # (n, c) per-class-token predictions
+    main_logits: Tensor      # (n, c) main head logits
+    token_logits: Tensor     # (n, c) per-class-token head logits
+
+    @property
+    def p_main(self) -> Tensor:
+        """(n, c) main predictions: the sigmoid of ``main_logits``."""
+        return ad.sigmoid(self.main_logits)
+
+    @property
+    def p_tokens(self) -> Tensor:
+        """(n, c) per-class-token predictions: the sigmoid of ``token_logits``."""
+        return ad.sigmoid(self.token_logits)
 
 
 def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None) -> ForwardPass:
@@ -413,8 +396,8 @@ def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None
     view_states = view_encoder_forward(embedded, view_mask, params, train=train, rng=rng)
     fused = adaptive_fusion(view_states, view_mask, params["fusion.a"], params.config.gamma)
     consensus, class_states = class_token_encoder_forward(fused, params, train=train, rng=rng)
-    p_main, p_tokens = predict(consensus, class_states, params)
-    return ForwardPass(view_states, fused, consensus, class_states, p_main, p_tokens)
+    main_logits, token_logits = predict(consensus, class_states, params)
+    return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits)
 
 
 # ---------------------------------------------------------------------------

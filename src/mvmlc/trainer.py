@@ -14,6 +14,7 @@ never builds the graph term.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -57,31 +58,66 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment estimates per parameter, plus the step counter."""
+    """First/second moment estimates, plus the step counter.
+
+    The moments of all parameters live in two flat buffers laid out in
+    parameter order, so one update is a few vectorized passes however many
+    parameters the model has. ``m[name]`` and ``v[name]`` are views of them.
+    """
 
     def __init__(self, params: ModelParams):
         self.step = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.layout = [(name, t.data.shape) for name, t in params.items()]
+        dtype = np.result_type(*(t.data.dtype for _, t in params.items()))
+        total = sum(t.size for _, t in params.items())
+        self.flat_m = np.zeros(total, dtype=dtype)
+        self.flat_v = np.zeros(total, dtype=dtype)
+        self.m = self.views(self.flat_m)
+        self.v = self.views(self.flat_v)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views of a flat vector in this state's layout."""
+        out, start = {}, 0
+        for name, shape in self.layout:
+            size = math.prod(shape)
+            out[name] = flat[start : start + size].reshape(shape)
+            start += size
+        return out
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, config: TrainConfig):
-    """One bias-corrected Adam update; deterministic given its inputs."""
-    state.step += 1
-    t = state.step
-    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.adam_eps
-    correct1 = 1.0 - b1**t
-    correct2 = 1.0 - b2**t
-    for name, p in params.items():
+    """One bias-corrected Adam update; deterministic given its inputs.
+
+    Every parameter is updated in one pass over the flat vectors, with the
+    same elementwise arithmetic as a per-parameter loop. Each ``p.data`` is
+    rebound to a view of the new flat parameter vector; no parameter array
+    is written in place. A missing gradient counts as zero.
+    """
+    flat_p, flat_g = [], []
+    for (name, p), (_, shape) in zip(params.items(), state.layout, strict=True):
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise DimensionMismatch(f"gradient for {name} has shape {g.shape}, parameter {p.data.shape}")
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        update = (m / correct1) / (np.sqrt(v / correct2) + eps)
-        p.data = p.data - (lr * update).astype(p.data.dtype, copy=False)
+        if g.shape != shape or p.data.shape != shape:
+            raise DimensionMismatch(f"gradient for {name} has shape {g.shape}, parameter "
+                                    f"{p.data.shape}, Adam state {shape}")
+        flat_p.append(p.data.reshape(-1))
+        flat_g.append(g.reshape(-1))
+    flat_p = np.concatenate(flat_p)
+    g = np.concatenate(flat_g)
+
+    state.step += 1
+    t = state.step
+    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.adam_eps
+    m, v = state.flat_m, state.flat_v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    new = state.views(flat_p - (lr * update).astype(flat_p.dtype, copy=False))
+    for name, p in params.items():
+        p.data = new[name]
 
 
 @dataclass
@@ -179,8 +215,8 @@ def train(
             params.zero_grads()
             with Tape() as tape:
                 out = forward(views_b, w_b, params, train=True, rng=dropout_rng)
-                l_mc = masked_bce(out.p_main, y_b, g_b)
-                l_ac = masked_bce(out.p_tokens, y_b, g_b)
+                l_mc = masked_bce(out.main_logits, y_b, g_b)
+                l_ac = masked_bce(out.token_logits, y_b, g_b)
                 if ctx.alpha > 0:
                     l_gc = graph_constraint_loss(out.view_states, t_b, u_b, w_b)
                     loss = total_loss(l_mc, l_gc, l_ac, ctx.alpha, ctx.beta)

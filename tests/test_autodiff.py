@@ -96,6 +96,175 @@ class TestMatmul:
         )
 
 
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_gradient_matches_finite_differences(self, shape, bias):
+        rng = np.random.default_rng(20)
+        arrays = [rng.standard_normal(shape), rng.standard_normal((4, 5))]
+        if bias:
+            arrays.append(rng.standard_normal(5))
+        check_gradients(lambda ts: (ad.linear(*ts) ** 2).sum(), arrays)
+
+    def test_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(21)
+        x = ad.Tensor(rng.standard_normal((2, 3, 4)))
+        w = ad.Tensor(rng.standard_normal((4, 5)))
+        b = ad.Tensor(rng.standard_normal(5))
+        want = np.matmul(x.data, w.data) + b.data
+        np.testing.assert_allclose(ad.linear(x, w, b).data, want, rtol=1e-13)
+        np.testing.assert_allclose(ad.linear(x, w).data, want - b.data, rtol=1e-13)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
+        with pytest.raises(DimensionMismatch):
+            ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))),
+                      ad.Tensor(np.ones(3)))
+
+
+def composed_attention(qkv, heads, mask=None):
+    """Attention from the unfused primitives: split heads, matmul, masked
+    softmax, matmul, merge heads."""
+    n, t, d3 = qkv.shape
+    d = d3 // 3
+    d_h = d // heads
+
+    def split(part):
+        proj = qkv[:, :, part * d : (part + 1) * d]
+        return ad.transpose(proj.reshape((n, t, heads, d_h)), (0, 2, 1, 3))
+
+    q, k, v = split(0), split(1), split(2)
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_h))
+    probs = ad.softmax(scores) if mask is None else ad.masked_softmax(scores, mask[:, None])
+    mixed = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)).reshape((n, t, d))
+    return mixed, probs
+
+
+def view_style_mask(rng, n, t):
+    """Random (n, t, t) 0/1 mask whose rows all keep their diagonal."""
+    mask = (rng.random((n, t, t)) < 0.6).astype(float)
+    mask[:, np.arange(t), np.arange(t)] = 1.0
+    return mask
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradient_matches_finite_differences(self, heads, masked):
+        rng = np.random.default_rng(22)
+        qkv = rng.standard_normal((2, 3, 12))
+        mask = view_style_mask(rng, 2, 3) if masked else None
+        weights = rng.standard_normal((2, 3, 4))
+        check_gradients(lambda ts: (ad.attention(ts[0], heads, mask)[0] * weights).sum(), [qkv])
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_unfused_composition(self, heads, masked):
+        rng = np.random.default_rng(23)
+        qkv = rng.standard_normal((3, 4, 24))
+        mask = view_style_mask(rng, 3, 4) if masked else None
+        mixed, probs = ad.attention(ad.Tensor(qkv), heads, mask)
+        want_mixed, want_probs = composed_attention(ad.Tensor(qkv), heads, mask)
+        np.testing.assert_array_equal(probs.data, want_probs.data)
+        np.testing.assert_array_equal(mixed.data, want_mixed.data)
+
+    def test_gradient_equals_unfused_composition(self):
+        rng = np.random.default_rng(24)
+        qkv = rng.standard_normal((3, 4, 24))
+        mask = view_style_mask(rng, 3, 4)
+        weights = rng.standard_normal((3, 4, 8))
+        grads = []
+        for attend in (ad.attention, composed_attention):
+            x = ad.Tensor(qkv, requires_grad=True)
+            with ad.Tape() as tape:
+                tape.backward((attend(x, 2, mask)[0] * weights).sum())
+            grads.append(x.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15)
+
+    def test_masked_key_gets_zero_weight_and_gradient(self):
+        rng = np.random.default_rng(25)
+        qkv = ad.Tensor(rng.standard_normal((1, 3, 6)), requires_grad=True)
+        mask = np.ones((1, 3, 3))
+        mask[0, :2, 2] = 0  # rows 0 and 1 may not attend to token 2
+        with ad.Tape() as tape:
+            mixed, probs = ad.attention(qkv, 1, mask)
+            tape.backward(mixed[:, :2].sum())
+        assert np.all(probs.data[0, 0, :2, 2] == 0.0)
+        # the mask leaves token 2 feeding only its own row, which the loss ignores
+        np.testing.assert_array_equal(qkv.grad[0, 2], 0.0)
+
+    def test_probs_are_constant(self):
+        qkv = ad.Tensor(np.zeros((1, 2, 6)), requires_grad=True)
+        with ad.Tape():
+            mixed, probs = ad.attention(qkv, 1)
+        assert mixed.requires_grad and not probs.requires_grad
+        np.testing.assert_allclose(probs.data, 0.5)
+
+    @pytest.mark.parametrize("attend", [ad.attention, composed_attention])
+    def test_mask_errors(self, attend):
+        qkv = ad.Tensor(np.zeros((2, 3, 6)))
+        with pytest.raises(NonBinary):
+            attend(qkv, 1, np.full((2, 3, 3), 0.5))
+        mask = np.ones((2, 3, 3))
+        mask[1, 2] = 0
+        with pytest.raises(AllMaskedRow):
+            attend(qkv, 1, mask)
+
+    def test_bad_packing(self):
+        with pytest.raises(DimensionMismatch):
+            ad.attention(ad.Tensor(np.zeros((2, 3, 8))), 2)
+
+
+class TestBceWithLogits:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((3, 4))
+        y = (rng.random((3, 4)) < 0.5).astype(float)
+        w = rng.random((3, 4))
+        check_gradients(lambda ts: ad.bce_with_logits(ts[0], y, w), [x])
+
+    def test_hand_values(self):
+        # -log(sigmoid(0)) = log 2; -log(1 - sigmoid(log 3)) = log 4
+        x = ad.Tensor([0.0, math.log(3.0)])
+        loss = ad.bce_with_logits(x, [1.0, 0.0], [1.0, 0.5])
+        assert abs(loss.item() - (math.log(2.0) + 0.5 * math.log(4.0))) < 1e-12
+
+    def test_extreme_logits_stay_finite(self):
+        x = ad.Tensor(np.array([-1000.0, 1000.0]), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.bce_with_logits(x, [1.0, 0.0], [1.0, 1.0])
+            tape.backward(loss)
+        assert loss.item() == 2000.0
+        np.testing.assert_array_equal(x.grad, [-1.0, 1.0])
+
+
+class TestFusedRecords:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["linear", "attention", "bce_with_logits"])
+    def test_one_record_in_input_dtype(self, case, dtype):
+        rng = np.random.default_rng(27)
+
+        def tensor(*shape):
+            return ad.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+        inputs, build = {
+            "linear": ([tensor(2, 3, 4), tensor(4, 5), tensor(5)], lambda ts: ad.linear(*ts)),
+            "attention": ([tensor(2, 3, 12)],
+                          lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)))[0]),
+            "bce_with_logits": ([tensor(3, 4)],
+                                lambda ts: ad.bce_with_logits(ts[0], np.ones((3, 4)),
+                                                              np.full((3, 4), 0.25))),
+        }[case]
+        with ad.Tape() as tape:
+            out = build(inputs)
+            assert len(tape) == 1
+            assert out.dtype == dtype
+            tape.backward((out * 1.5).sum())
+        for t in inputs:
+            assert t.grad.dtype == dtype
+
+
 class TestElementwise:
     @pytest.mark.parametrize(
         "build",

@@ -152,36 +152,43 @@ class TestGraphConstraintLoss:
         assert ad.gradient_check(f, [z], eps=1e-6) < 1e-6
 
 
+def logit(p):
+    """The logit whose sigmoid is p."""
+    p = np.asarray(p, dtype=float)
+    return np.log(p / (1.0 - p))
+
+
 class TestMaskedBce:
     def test_hand_value(self):
-        p = Tensor(np.array([[0.9, 0.2]]))
+        x = Tensor(logit([[0.9, 0.2]]))
         y = np.array([[1.0, 0.0]])
         g = np.array([[1.0, 0.0]])
-        loss = L.masked_bce(p, y, g)
+        loss = L.masked_bce(x, y, g)
         assert abs(loss.item() - (-math.log(0.9))) < 1e-12
         assert abs(loss.item() - 0.10536) < 1e-5
 
     def test_masked_entries_are_ignored_bit_exactly(self):
         rng = np.random.default_rng(6)
-        p = Tensor(rng.random((5, 4)) * 0.98 + 0.01)
+        x = Tensor(logit(rng.random((5, 4)) * 0.98 + 0.01))
         y = (rng.random((5, 4)) < 0.5).astype(float)
         g = (rng.random((5, 4)) < 0.6).astype(float)
         g[0, 0] = 1.0
         y = y * g
-        base = L.masked_bce(p, y, g).item()
+        base = L.masked_bce(x, y, g).item()
         y2 = y.copy()
         y2[g == 0] = 1.0 - y2[g == 0]
         # flipped labels violate the zero-fill convention but must not matter
-        assert L.masked_bce(p, y2, g).item() == base
+        assert L.masked_bce(x, y2, g).item() == base
 
     def test_perfect_predictions(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = L.masked_bce(Tensor(y), y, np.ones_like(y))
+        # logits of +-20 are sigmoid 1 - 2e-9 and 2e-9: confident and right
+        loss = L.masked_bce(Tensor(20.0 * (2.0 * y - 1.0)), y, np.ones_like(y))
         assert loss.item() < 2e-7
 
     def test_degenerate_mask(self):
         with pytest.raises(DegenerateMask):
-            L.masked_bce(Tensor(np.full((2, 2), 0.5)), np.zeros((2, 2)), np.zeros((2, 2)))
+            L.masked_bce(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -190,9 +197,21 @@ class TestMaskedBce:
         g = np.ones((3, 4))
 
         def f():
-            return L.masked_bce(ad.sigmoid(logits), y, g)
+            return L.masked_bce(logits, y, g)
 
         assert ad.gradient_check(f, [logits], eps=1e-6) < 1e-6
+
+    def test_saturated_wrong_predictions_keep_their_gradient(self):
+        # sigmoid(+-40) rounds to exactly 1 and 0 in float32; a loss built
+        # from the rounded probabilities would give these logits no gradient
+        logits = Tensor(np.array([[40.0, -40.0]], dtype=np.float32), requires_grad=True)
+        y = np.array([[0.0, 1.0]])
+        with ad.Tape() as tape:
+            loss = L.masked_bce(logits, y, np.ones_like(y))
+            tape.backward(loss)
+        assert loss.dtype == np.float32 and logits.grad.dtype == np.float32
+        assert np.isfinite(loss.item()) and abs(loss.item() - 40.0) < 1e-5
+        np.testing.assert_allclose(logits.grad, [[0.5, -0.5]], rtol=1e-6)
 
 
 class TestTotalLoss:

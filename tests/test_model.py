@@ -88,8 +88,8 @@ class TestMaskedSelfAttention:
         w = np.array([1.0, 1.0, 0.0])
         noisy = x.copy()
         noisy[2] = rng.standard_normal(8) * 100
-        out_zero = M.masked_self_attention(Tensor(x), w, params).data
-        out_noise = M.masked_self_attention(Tensor(noisy), w, params).data
+        out_zero = M.view_encoder_forward(Tensor(x[None]), w[None], params).data[0]
+        out_noise = M.view_encoder_forward(Tensor(noisy[None]), w[None], params).data[0]
         np.testing.assert_array_equal(out_zero[:2], out_noise[:2])
 
     def test_hand_computed_attention(self):
@@ -118,7 +118,7 @@ class TestMaskedSelfAttention:
     def test_empty_row_mask(self):
         params = tiny_params()
         with pytest.raises(EmptyRowMask):
-            M.masked_self_attention(Tensor(np.zeros((3, 8))), np.zeros(3), params)
+            M.view_encoder_forward(Tensor(np.zeros((1, 3, 8))), np.zeros((1, 3)), params)
 
 
 class TestViewEncoder:
@@ -286,9 +286,9 @@ class TestPredict:
         params["head_main.w"].data[...] = 0
         params["head_tokens.w"].data[...] = 0
         rng = np.random.default_rng(13)
-        p_main, p_tokens = M.predict(
+        p_main, p_tokens = (ad.sigmoid(z) for z in M.predict(
             Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((3, 4, 8))), params
-        )
+        ))
         np.testing.assert_allclose(p_main.data, 0.5)
         np.testing.assert_allclose(p_tokens.data, 0.5)
 
@@ -296,7 +296,8 @@ class TestPredict:
         params = tiny_params(d_e=2, heads=1, view_dims=(2,), n_labels=1)
         params["head_main.w"].data[...] = np.array([[1.0], [1.0]])
         params["head_main.b"].data[...] = 0
-        p_main, _ = M.predict(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 1, 2))), params)
+        main_logits, _ = M.predict(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 1, 2))), params)
+        p_main = ad.sigmoid(main_logits)
         np.testing.assert_allclose(p_main.data, [[0.5]], atol=1e-12)
 
     def test_probabilities_strictly_inside_unit_interval(self):

@@ -100,8 +100,8 @@ class TestPrecision:
         with DtypeTape() as tape:
             out = M.forward(ds.views, ds.view_mask, params, train=True,
                             rng=np.random.default_rng(0))
-            l_mc = losses.masked_bce(out.p_main, ds.labels, ds.label_mask)
-            l_ac = losses.masked_bce(out.p_tokens, ds.labels, ds.label_mask)
+            l_mc = losses.masked_bce(out.main_logits, ds.labels, ds.label_mask)
+            l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
             l_gc = losses.graph_constraint_loss(out.view_states, t_b, u_b, ds.view_mask)
             loss = losses.total_loss(l_mc, l_gc, l_ac, tc.alpha, tc.beta)
             tape.backward(loss)
@@ -288,8 +288,8 @@ class TestObjectiveProperties:
                 if tape is not None:
                     tape.__enter__()
                 out = M.forward(ds.views, ds.view_mask, params, train=False)
-                l_mc = losses.masked_bce(out.p_main, ds.labels, ds.label_mask)
-                l_ac = losses.masked_bce(out.p_tokens, ds.labels, ds.label_mask)
+                l_mc = losses.masked_bce(out.main_logits, ds.labels, ds.label_mask)
+                l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
                 l_gc = losses.graph_constraint_loss(out.view_states, ctx.label_sim,
                                                     ctx.pair_valid, ds.view_mask)
                 loss = losses.total_loss(l_mc, l_gc, l_ac, ctx.alpha, ctx.beta)
