@@ -13,7 +13,8 @@ rely on this mode.
 
 Tensors are treated as immutable after construction; gradient arrays are
 never mutated in place, only rebound, so sharing buffers between records is
-safe.
+safe. The one writer is the optimizer, which updates parameter data in
+place between steps, after the tape that read it has been consumed.
 
 Dtype rule: in the binary primitives (``add``, ``sub``, ``mul``, ``div`` and
 their operators, reflected ones included) an operand that is not a Tensor,
@@ -24,17 +25,19 @@ still promote by numpy's rules.
 
 Fused primitives: every tape record costs Python overhead in the forward
 and the backward pass, and at small widths that overhead, not arithmetic,
-bounds a training step. Three composite operations are therefore single
-records with a hand-written backward:
+bounds a training step. Three composite operations therefore record few
+entries, each with a hand-written backward:
 
 - ``linear(x, w, b)``: ``x @ w + b`` with any leading axes of ``x``
-  flattened, so forward and backward are each one 2-D GEMM.
+  flattened, so forward and backward are each one 2-D GEMM. One record.
 - ``attention(qkv, heads, mask)``: multi-head scaled dot-product attention
-  on packed query/key/value projections, from the head split through the
-  masked softmax to the merged heads. Masking goes through the same check
-  and MASK_FILL as ``masked_softmax``, so it stays bit-exact.
+  on packed query/key/value projections. Three records: the scores with
+  the head split, ``softmax`` or ``masked_softmax`` itself (so masking
+  stays bit-exact and lives in one place), and the value mix with the
+  head merge.
 - ``bce_with_logits(logits, targets, weights)``: binary cross-entropy in
   logit space, which keeps a gradient where a float32 sigmoid saturates.
+  One record.
 """
 
 from __future__ import annotations
@@ -560,17 +563,6 @@ def _softmax_backward(p: np.ndarray):
     return backward
 
 
-def _mask_fill(scores: np.ndarray, mask) -> np.ndarray:
-    """Replace the logits where ``mask == 0`` by MASK_FILL, after checking
-    that the mask is 0/1-valued and leaves every row a position."""
-    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
-    if not np.all((m == 0) | (m == 1)):
-        raise NonBinary("mask entries must be exactly 0 or 1")
-    if np.any(np.all(m == 0, axis=-1)):
-        raise AllMaskedRow("mask contains a row with no available position")
-    return np.where(m == 0, MASK_FILL, scores)
-
-
 def softmax(a) -> Tensor:
     """Numerically stable softmax along the last axis."""
     a = _as_tensor(a)
@@ -587,26 +579,37 @@ def masked_softmax(scores, mask) -> Tensor:
     a row of all zeros has nothing to attend to and raises AllMaskedRow.
     """
     scores = _as_tensor(scores)
-    p = _softmax_last_axis(_mask_fill(scores.data, mask))
+    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
+    if not np.all((m == 0) | (m == 1)):
+        raise NonBinary("mask entries must be exactly 0 or 1")
+    if np.any(np.all(m == 0, axis=-1)):
+        raise AllMaskedRow("mask contains a row with no available position")
+    filled = np.where(m == 0, MASK_FILL, scores.data)
+    p = _softmax_last_axis(filled)
     # p is exactly 0 at masked positions, so the softmax Jacobian already
     # sends zero gradient to their logits.
     return _make(p, (scores,), _softmax_backward(p))
 
 
 def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
-    """Multi-head scaled dot-product self-attention as one tape record.
+    """Multi-head scaled dot-product self-attention as three tape records.
 
     ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
     along the last axis. Each is split into ``heads`` heads of width
-    d_h = d / heads; the scores ``q @ k^T / sqrt(d_h)`` go through a softmax
-    over the key axis, masked as in ``masked_softmax`` when ``mask`` (n, t, t)
-    is given, and mix the values. Returns ``(mixed, probs)``: the merged
+    d_h = d / heads. One record computes the scores ``q @ k^T / sqrt(d_h)``
+    of every head; ``softmax``, or ``masked_softmax`` when ``mask`` (n, t, t)
+    is given, turns them into weights over the key axis; one record mixes
+    the values and merges the heads. Returns ``(mixed, probs)``: the merged
     head outputs (n, t, d) and the attention weights (n, heads, t, t).
-    ``probs`` is a constant for inspection; gradient flows through ``mixed``.
 
-    The backward pass reuses the stored weights instead of recomputing them
-    from ``qkv``: they hold n * heads * t * t values against the n * t * 3d
-    of ``qkv``, fewer whenever heads * t < 3d, as in both encoders here.
+    The head split and merge are views and reshapes inside the two fused
+    records, so they cost no records of their own. The mix record takes
+    only the weights as input and hands the value gradient to the scores
+    record, which the tape always runs after it, so ``qkv`` receives one
+    packed gradient array. The backward pass reuses the stored weights
+    instead of recomputing them from ``qkv``: they hold n * heads * t * t
+    values against the n * t * 3d of ``qkv``, fewer whenever
+    heads * t < 3d, as in both encoders here.
     """
     qkv = _as_tensor(qkv)
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
@@ -620,20 +623,27 @@ def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
     scale = qkv.data.dtype.type(1.0 / math.sqrt(d_h))
     # (3, n, heads, t, d_h) views of the packed projections
     q, k, v = qkv.data.reshape(n, t, 3, heads, d_h).transpose(2, 0, 3, 1, 4)
-    scores = (q @ _swap_last(k)) * scale
-    if mask is not None:
-        scores = _mask_fill(scores, np.asarray(mask)[:, None, :, :])
-    probs = _softmax_last_axis(scores)
-    mixed = (probs @ v).transpose(0, 2, 1, 3).reshape(n, t, d)
+    g_v = []  # set by the mix backward; empty if no gradient reached the mix
 
-    def backward(g):
-        g_heads = g.reshape(n, t, heads, d_h).transpose(0, 2, 1, 3)
-        g_probs = g_heads @ _swap_last(v)
-        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
-        g_qkv = np.stack((g_scores @ k, _swap_last(g_scores) @ q, _swap_last(probs) @ g_heads))
+    def scores_backward(g):
+        g = g * scale
+        g_qkv = np.stack((g @ k, _swap_last(g) @ q, g_v[0] if g_v else np.zeros_like(v)))
         return (g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, t, d3),)
 
-    return _make(mixed, (qkv,), backward), Tensor(probs)
+    scores = _make((q @ _swap_last(k)) * scale, (qkv,), scores_backward)
+    if mask is None:
+        probs = softmax(scores)
+    else:
+        probs = masked_softmax(scores, np.asarray(mask)[:, None, :, :])
+    p = probs.data
+
+    def mix_backward(g):
+        g_heads = g.reshape(n, t, heads, d_h).transpose(0, 2, 1, 3)
+        g_v.append(_swap_last(p) @ g_heads)
+        return (g_heads @ _swap_last(v),)
+
+    mixed = (p @ v).transpose(0, 2, 1, 3).reshape(n, t, d)
+    return _make(mixed, (probs,), mix_backward), probs
 
 
 def bce_with_logits(logits, targets, weights) -> Tensor:

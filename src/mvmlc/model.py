@@ -8,9 +8,9 @@ over [fused vector, c learnable class tokens] so categories can share
 information. c+1 heads read the outputs: one multi-label head on the
 consensus token and one scalar head per class token.
 
-The heads emit logits. The losses work in logit space, and probabilities are
-made at the edge: ``ForwardPass.p_main`` and ``p_tokens`` apply the sigmoid
-when read, and ``evaluate`` ranks ``p_main``.
+The heads emit logits, and the losses work in logit space. ``forward``
+applies the sigmoid only at the edge, to give ``ForwardPass.p_main`` and
+``p_tokens``; ``evaluate`` ranks ``p_main``.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
@@ -377,18 +377,10 @@ class ForwardPass:
     fused: Tensor            # (n, d_e) weighted fusion
     consensus: Tensor        # (n, d_e) first token of the class encoder
     class_states: Tensor     # (n, c, d_e) specialized class tokens
-    main_logits: Tensor      # (n, c) main head logits
+    main_logits: Tensor      # (n, c) main head logits, what the losses read
     token_logits: Tensor     # (n, c) per-class-token head logits
-
-    @property
-    def p_main(self) -> Tensor:
-        """(n, c) main predictions: the sigmoid of ``main_logits``."""
-        return ad.sigmoid(self.main_logits)
-
-    @property
-    def p_tokens(self) -> Tensor:
-        """(n, c) per-class-token predictions: the sigmoid of ``token_logits``."""
-        return ad.sigmoid(self.token_logits)
+    p_main: Tensor           # (n, c) main predictions: sigmoid of main_logits
+    p_tokens: Tensor         # (n, c) per-class-token predictions
 
 
 def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None) -> ForwardPass:
@@ -397,7 +389,8 @@ def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None
     fused = adaptive_fusion(view_states, view_mask, params["fusion.a"], params.config.gamma)
     consensus, class_states = class_token_encoder_forward(fused, params, train=train, rng=rng)
     main_logits, token_logits = predict(consensus, class_states, params)
-    return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits)
+    return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits,
+                       ad.sigmoid(main_logits), ad.sigmoid(token_logits))
 
 
 # ---------------------------------------------------------------------------

@@ -58,22 +58,29 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment estimates, plus the step counter.
+    """The parameters and their first/second moment estimates as flat
+    vectors, plus the step counter.
 
-    The moments of all parameters live in two flat buffers laid out in
-    parameter order, so one update is a few vectorized passes however many
-    parameters the model has. ``m[name]`` and ``v[name]`` are views of them.
+    Creating the state copies every parameter into one flat vector and
+    rebinds each ``p.data`` to a view of it, so ``adam_step`` updates all
+    parameters in place with a few vectorized passes however many
+    parameters the model has. The moments live in two flat buffers in the
+    same layout; ``m[name]`` and ``v[name]`` are views of them. Two more
+    flat buffers hold the gradient and the update, so a step allocates no
+    array of the model's size.
     """
 
     def __init__(self, params: ModelParams):
         self.step = 0
         self.layout = [(name, t.data.shape) for name, t in params.items()]
-        dtype = np.result_type(*(t.data.dtype for _, t in params.items()))
-        total = sum(t.size for _, t in params.items())
-        self.flat_m = np.zeros(total, dtype=dtype)
-        self.flat_v = np.zeros(total, dtype=dtype)
+        self.flat_p = np.concatenate([t.data.reshape(-1) for _, t in params.items()])
+        self.flat_m, self.flat_v, self.flat_g, self.work = (
+            np.zeros_like(self.flat_p) for _ in range(4))
+        self.p = self.views(self.flat_p)
         self.m = self.views(self.flat_m)
         self.v = self.views(self.flat_v)
+        for name, t in params.items():
+            t.data = self.p[name]
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-parameter views of a flat vector in this state's layout."""
@@ -88,12 +95,12 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict, state: AdamState, config: TrainConfig):
     """One bias-corrected Adam update; deterministic given its inputs.
 
-    Every parameter is updated in one pass over the flat vectors, with the
-    same elementwise arithmetic as a per-parameter loop. Each ``p.data`` is
-    rebound to a view of the new flat parameter vector; no parameter array
-    is written in place. A missing gradient counts as zero.
+    Every parameter is updated in place in one pass over the flat vectors,
+    with the same elementwise arithmetic as a per-parameter loop. A
+    parameter whose ``data`` was rebound since the last step is copied back
+    into the flat vector first. A missing gradient counts as zero.
     """
-    flat_p, flat_g = [], []
+    flat_g = []
     for (name, p), (_, shape) in zip(params.items(), state.layout, strict=True):
         g = grads.get(name)
         if g is None:
@@ -101,23 +108,30 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, config: TrainC
         if g.shape != shape or p.data.shape != shape:
             raise DimensionMismatch(f"gradient for {name} has shape {g.shape}, parameter "
                                     f"{p.data.shape}, Adam state {shape}")
-        flat_p.append(p.data.reshape(-1))
+        if p.data is not state.p[name]:
+            state.p[name][...] = p.data
+            p.data = state.p[name]
         flat_g.append(g.reshape(-1))
-    flat_p = np.concatenate(flat_p)
-    g = np.concatenate(flat_g)
+    g = np.concatenate(flat_g, out=state.flat_g)
 
     state.step += 1
     t = state.step
     lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.adam_eps
-    m, v = state.flat_m, state.flat_v
+    m, v, work = state.flat_m, state.flat_v, state.work
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, through one work buffer
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=work)
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-    new = state.views(flat_p - (lr * update).astype(flat_p.dtype, copy=False))
-    for name, p in params.items():
-        p.data = new[name]
+    np.multiply(g, g, out=work)
+    work *= 1.0 - b2
+    v += work
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps); g is free now
+    denom = np.sqrt(np.divide(v, 1.0 - b2**t, out=work), out=work)
+    denom += eps
+    update = np.divide(m, 1.0 - b1**t, out=g)
+    update /= denom
+    update *= lr
+    state.flat_p -= update
 
 
 @dataclass

@@ -156,7 +156,13 @@ class TestAttention:
         qkv = rng.standard_normal((2, 3, 12))
         mask = view_style_mask(rng, 2, 3) if masked else None
         weights = rng.standard_normal((2, 3, 4))
-        check_gradients(lambda ts: (ad.attention(ts[0], heads, mask)[0] * weights).sum(), [qkv])
+        prob_weights = rng.standard_normal((2, heads, 3, 3))
+
+        def objective(ts):
+            mixed, probs = ad.attention(ts[0], heads, mask)
+            return (mixed * weights).sum() + (probs * prob_weights).sum()
+
+        check_gradients(objective, [qkv])
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("masked", [False, True])
@@ -194,12 +200,16 @@ class TestAttention:
         # the mask leaves token 2 feeding only its own row, which the loss ignores
         np.testing.assert_array_equal(qkv.grad[0, 2], 0.0)
 
-    def test_probs_are_constant(self):
-        qkv = ad.Tensor(np.zeros((1, 2, 6)), requires_grad=True)
-        with ad.Tape():
-            mixed, probs = ad.attention(qkv, 1)
-        assert mixed.requires_grad and not probs.requires_grad
-        np.testing.assert_allclose(probs.data, 0.5)
+    def test_gradient_through_probs_alone(self):
+        # no gradient reaches the value mix, so the value part of qkv gets none
+        rng = np.random.default_rng(28)
+        qkv = rng.standard_normal((2, 3, 12))
+        prob_weights = rng.standard_normal((2, 2, 3, 3))
+        check_gradients(lambda ts: (ad.attention(ts[0], 2)[1] * prob_weights).sum(), [qkv])
+        x = ad.Tensor(qkv, requires_grad=True)
+        with ad.Tape() as tape:
+            tape.backward((ad.attention(x, 2)[1] * prob_weights).sum())
+        np.testing.assert_array_equal(x.grad[:, :, 8:], 0.0)
 
     @pytest.mark.parametrize("attend", [ad.attention, composed_attention])
     def test_mask_errors(self, attend):
@@ -241,8 +251,9 @@ class TestBceWithLogits:
 
 class TestFusedRecords:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("case", ["linear", "attention", "bce_with_logits"])
-    def test_one_record_in_input_dtype(self, case, dtype):
+    @pytest.mark.parametrize("case, records", [("linear", 1), ("attention", 3),
+                                               ("bce_with_logits", 1)])
+    def test_record_count_in_input_dtype(self, case, records, dtype):
         rng = np.random.default_rng(27)
 
         def tensor(*shape):
@@ -258,7 +269,7 @@ class TestFusedRecords:
         }[case]
         with ad.Tape() as tape:
             out = build(inputs)
-            assert len(tape) == 1
+            assert len(tape) == records
             assert out.dtype == dtype
             tape.backward((out * 1.5).sum())
         for t in inputs:

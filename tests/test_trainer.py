@@ -70,6 +70,43 @@ class TestAdam:
             results.append(params["w"].data.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
+    def test_equals_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 3)}
+        params = ModelParams(ModelConfig(d_e=4, heads=1), [2], 2, {
+            name: Tensor(rng.standard_normal(shape).astype(np.float32)) for name, shape in
+            shapes.items()})
+        want = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(w) for name, w in want.items()}
+        v = {name: np.zeros_like(w) for name, w in want.items()}
+        state, cfg = AdamState(params), TrainConfig(learning_rate=0.01, seed=0)
+        b1, b2 = cfg.beta1, cfg.beta2
+        for t in range(1, 6):
+            grads = {name: rng.standard_normal(shape).astype(np.float32)
+                     for name, shape in shapes.items() if name != "b" or t % 2}
+            adam_step(params, grads, state, cfg)
+            for name, w in want.items():
+                g = grads.get(name, np.zeros_like(w))
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                update = (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t))
+                                                      + cfg.adam_eps)
+                want[name] = w - (cfg.learning_rate * update).astype(w.dtype)
+                np.testing.assert_array_equal(params[name].data, want[name])
+                np.testing.assert_array_equal(state.m[name], m[name])
+
+    def test_updates_in_place_and_adopts_rebound_data(self):
+        params = self._params({"w": [1.0, -2.0]})
+        state = AdamState(params)
+        view = params["w"].data
+        adam_step(params, {"w": np.ones(2)}, state, TrainConfig(seed=0))
+        assert params["w"].data is view and view[0] < 1.0
+        params["w"].data = np.array([5.0, 6.0])
+        adam_step(params, {"w": np.zeros(2)}, state, TrainConfig(seed=0))
+        assert params["w"].data is view
+        # the moments still carry the first step, so the adopted values move
+        assert 4.9 < view[0] < 5.0 and 5.9 < view[1] < 6.0
+
     def test_shape_mismatch(self):
         params = self._params({"w": [1.0, 2.0]})
         with pytest.raises(DimensionMismatch):
