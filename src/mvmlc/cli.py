@@ -4,6 +4,10 @@ Each run writes a manifest echoing every resolved option into its output
 directory, so a run is reproducible from the manifest alone. Exactly one
 JSON document goes to stdout per command; all diagnostics go to stderr.
 
+Option keys are the ``ModelConfig`` / ``TrainConfig`` field names (or their
+``_RENAMED`` keys), with the field default and its type as parser; only the
+data options, which no config owns, have literal defaults here.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 infeasible
 corruption request.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,34 +30,23 @@ from .trainer import TrainConfig, evaluate, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# option keys of renamed config fields (as config files and manifests use
+# them), and config fields that are not options
+_RENAMED = {"dtype": "precision", "batch_size": "batch", "learning_rate": "lr"}
+_NOT_OPTIONS = {"beta1", "beta2", "adam_eps", "checkpoint_path"}
+
+
+def _option_fields(cls) -> list:
+    """(option key, field) for each option a config dataclass owns."""
+    return [(_RENAMED.get(f.name, f.name), f) for f in fields(cls) if f.name not in _NOT_OPTIONS]
+
+
+DEFAULTS = {key: f.default for cls in (ModelConfig, TrainConfig) for key, f in _option_fields(cls)}
+DEFAULTS.update(train_ratio=0.7, view_missing=0.0, label_missing=0.0)
+
 # config-file keys (flat key=value lines) and their parsers; CLI flags use
 # the same names with dashes and override the file
-CONFIG_KEYS = {
-    "d_e": int,
-    "heads": int,
-    "layers_v": int,
-    "layers_c": int,
-    "dropout": float,
-    "gamma": float,
-    "precision": str,
-    "epochs": int,
-    "batch": int,
-    "lr": float,
-    "alpha": float,
-    "beta": float,
-    "seed": int,
-    "train_ratio": float,
-    "view_missing": float,
-    "label_missing": float,
-    "eval_every": int,
-}
-
-DEFAULTS = {
-    "d_e": 128, "heads": 4, "layers_v": 1, "layers_c": 1, "dropout": 0.1,
-    "gamma": 2.0, "precision": "float32", "epochs": 200, "batch": 128,
-    "lr": 1e-3, "alpha": 10.0, "beta": 0.1, "seed": 0, "train_ratio": 0.7,
-    "view_missing": 0.0, "label_missing": 0.0, "eval_every": 0,
-}
+CONFIG_KEYS = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 def read_config_file(path) -> dict:
@@ -84,21 +77,10 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _model_config(options: dict) -> ModelConfig:
-    return ModelConfig(
-        d_e=options["d_e"], heads=options["heads"], layers_v=options["layers_v"],
-        layers_c=options["layers_c"], dropout=options["dropout"],
-        gamma=options["gamma"], dtype=options["precision"],
-    )
-
-
-def _train_config(options: dict, checkpoint_path: str | None) -> TrainConfig:
-    return TrainConfig(
-        epochs=options["epochs"], batch_size=options["batch"],
-        learning_rate=options["lr"], alpha=options["alpha"], beta=options["beta"],
-        seed=options["seed"], eval_every=options["eval_every"],
-        checkpoint_path=checkpoint_path,
-    )
+def _config(cls, options: dict, **overrides):
+    """Build ``cls`` from resolved options; ``overrides`` set fields by name."""
+    values = {f.name: options[key] for key, f in _option_fields(cls)}
+    return cls(**{**values, **overrides})
 
 
 def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, options: dict):
@@ -177,11 +159,16 @@ def cmd_train(args) -> int:
     options = resolve_options(args)
     options["data"] = args.data
     out = Path(args.out)
+    checkpoint = out / "model.ckpt"
+    seeds = np.random.SeedSequence(options["seed"]).spawn(4)
+    stage_seed = [int(s.generate_state(1)[0]) for s in seeds]
+    # bad options fail here, before anything is written
+    model_config = _config(ModelConfig, options)
+    train_config = _config(TrainConfig, options, seed=stage_seed[3],
+                           checkpoint_path=str(checkpoint))
     write_manifest(out, "train", args, options)
 
     ds = data.load_dataset(args.data)
-    seeds = np.random.SeedSequence(options["seed"]).spawn(4)
-    stage_seed = [int(s.generate_state(1)[0]) for s in seeds]
 
     if options["view_missing"] > 0:
         w = data.simulate_missing_views(ds.n, ds.m, options["view_missing"], seed=stage_seed[0])
@@ -195,10 +182,6 @@ def cmd_train(args) -> int:
     data.save_dataset(train_ds, out / "train_data")
     data.save_dataset(test_ds, out / "test_data")
 
-    model_config = _model_config(options)
-    checkpoint = out / "model.ckpt"
-    train_config = _train_config(options, str(checkpoint))
-    train_config.seed = stage_seed[3]
     log(f"training on {train_ds.n} rows ({test_ds.n} held out)")
     params, history = train(model_config, train_config, train_ds, eval_dataset=test_ds)
     log(f"trained {params.num_parameters()} parameters")
@@ -254,8 +237,7 @@ def cmd_gradcheck(args) -> int:
             tensor.data = 1.0 + 0.3 * rng.standard_normal(tensor.data.shape)
         else:
             tensor.data = 0.3 * rng.standard_normal(tensor.data.shape)
-    ctx = losses.LossContext.build(ds.labels, ds.label_mask,
-                                   options["alpha"], options["beta"])
+    ctx = losses.LossContext.build(ds.labels, ds.label_mask)
 
     def objective():
         out = forward(ds.views, ds.view_mask, params, train=False)
@@ -263,7 +245,7 @@ def cmd_gradcheck(args) -> int:
         l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
         l_gc = losses.graph_constraint_loss(out.view_states, ctx.label_sim,
                                             ctx.pair_valid, ds.view_mask)
-        return losses.total_loss(l_mc, l_gc, l_ac, ctx.alpha, ctx.beta)
+        return losses.total_loss(l_mc, l_gc, l_ac, options["alpha"], options["beta"])
 
     per_group = {}
     for group, names in params.groups().items():

@@ -67,19 +67,6 @@ def _swap_axes(ndim: int):
     return axes
 
 
-def pair_counts(view_mask: np.ndarray, pair_valid: np.ndarray) -> np.ndarray:
-    """Ordered pair count per view: pairs (i, j), i != j, with both views
-    available and a valid label comparison."""
-    w = np.asarray(view_mask, dtype=np.float64)
-    n = w.shape[0]
-    off_diag = 1.0 - np.eye(n)
-    counts = []
-    for v in range(w.shape[1]):
-        pair_w = np.outer(w[:, v], w[:, v]) * pair_valid * off_diag
-        counts.append(pair_w.sum())
-    return np.asarray(counts)
-
-
 def graph_constraint_loss(view_states: Tensor, label_sim: np.ndarray,
                           pair_valid: np.ndarray, view_mask: np.ndarray) -> Tensor:
     """Cross-entropy between label similarity and per-view embedding similarity.
@@ -92,15 +79,16 @@ def graph_constraint_loss(view_states: Tensor, label_sim: np.ndarray,
     """
     n, m, _ = view_states.shape
     dt = view_states.data.dtype
-    counts = pair_counts(view_mask, pair_valid)
+    w = np.asarray(view_mask, dtype=np.float64)
+    off_diag = 1.0 - np.eye(n)
+    # (m, n, n) 0/1 pair weights; their sums are the exact per-view pair counts
+    pair_w = w.T[:, :, None] * w.T[:, None, :] * pair_valid[None] * off_diag[None]
+    counts = pair_w.sum(axis=(1, 2))
     if not np.any(counts > 0):
         warnings.warn("graph constraint skipped: no valid sample pair in any view")
         return Tensor(np.zeros((), dtype=dt))
 
-    w = np.asarray(view_mask, dtype=np.float64)
-    off_diag = 1.0 - np.eye(n)
-    # (m, n, n) pair weights folding in the per-view 1/N normalizer
-    pair_w = w.T[:, :, None] * w.T[:, None, :] * pair_valid[None] * off_diag[None]
+    # fold in the per-view 1/N normalizer
     scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
     pair_w *= scale[:, None, None]
 
@@ -126,10 +114,19 @@ def masked_bce(logits: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Te
 
 
 def total_loss(l_mc: Tensor, l_gc: Tensor, l_ac: Tensor, alpha: float, beta: float) -> Tensor:
-    """Weighted objective: main BCE + alpha * graph constraint + beta * token BCE."""
+    """Weighted objective: main BCE + alpha * graph constraint + beta * token BCE.
+
+    A term whose coefficient is zero is left out of the sum, so it gets no
+    gradient and even a non-finite value of it cannot reach the loss.
+    """
     if alpha < 0 or beta < 0:
         raise ValueError("penalty coefficients must be non-negative")
-    return l_mc + alpha * l_gc + beta * l_ac
+    loss = l_mc
+    if alpha > 0:
+        loss = loss + alpha * l_gc
+    if beta > 0:
+        loss = loss + beta * l_ac
+    return loss
 
 
 @dataclass
@@ -142,13 +139,10 @@ class LossContext:
 
     label_sim: np.ndarray
     pair_valid: np.ndarray
-    alpha: float
-    beta: float
 
     @classmethod
-    def build(cls, labels, label_mask, alpha: float, beta: float) -> "LossContext":
-        t, u = label_similarity(labels, label_mask)
-        return cls(label_sim=t, pair_valid=u, alpha=alpha, beta=beta)
+    def build(cls, labels, label_mask) -> "LossContext":
+        return cls(*label_similarity(labels, label_mask))
 
     def batch(self, indices):
         idx = np.asarray(indices)

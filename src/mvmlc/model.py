@@ -81,13 +81,6 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-_ENCODER_SUFFIXES = (
-    "wq", "wk", "wv", "wo", "bo",
-    "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-    "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-)
-
-
 class ModelParams:
     """Name-addressed store of all learnable tensors plus the shapes metadata
     (config, per-view input dims, label count) needed to rebuild the model."""
@@ -154,17 +147,11 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
     def items(self):
         return self._tensors.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._tensors.values())
 
     def num_parameters(self) -> int:
         return sum(t.size for t in self._tensors.values())

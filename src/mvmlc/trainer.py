@@ -5,10 +5,10 @@ shuffling, dropout draws), so a (seed, config, data) triple reproduces
 bit-identical parameters, history, and reports within a precision mode.
 
 Label similarity constants are computed once over the training rows and
-sliced per batch. When a penalty coefficient is zero its loss term is left
-out of the autodiff graph entirely (the recorded history value is computed
-detached), so a zero-alpha run updates parameters exactly like a run that
-never builds the graph term.
+sliced per batch. Every step computes all three loss terms on the tape, for
+the history; ``total_loss`` leaves a zero-weight term out of the sum, so its
+records get no gradient and backward skips them. A zero-alpha run thus
+updates parameters exactly like a run that never builds the graph term.
 """
 
 from __future__ import annotations
@@ -202,8 +202,7 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 
-    ctx = LossContext.build(dataset.labels, dataset.label_mask,
-                            train_config.alpha, train_config.beta)
+    ctx = LossContext.build(dataset.labels, dataset.label_mask)
     state = AdamState(params)
     history = RunHistory()
     n = dataset.n
@@ -231,17 +230,9 @@ def train(
                 out = forward(views_b, w_b, params, train=True, rng=dropout_rng)
                 l_mc = masked_bce(out.main_logits, y_b, g_b)
                 l_ac = masked_bce(out.token_logits, y_b, g_b)
-                if ctx.alpha > 0:
-                    l_gc = graph_constraint_loss(out.view_states, t_b, u_b, w_b)
-                    loss = total_loss(l_mc, l_gc, l_ac, ctx.alpha, ctx.beta)
-                elif ctx.beta > 0:
-                    loss = l_mc + ctx.beta * l_ac
-                else:
-                    loss = l_mc
-                tape.backward(loss)
-            if ctx.alpha == 0:
-                # outside the tape: recorded for the history, no gradient
                 l_gc = graph_constraint_loss(out.view_states, t_b, u_b, w_b)
+                loss = total_loss(l_mc, l_gc, l_ac, train_config.alpha, train_config.beta)
+                tape.backward(loss)
 
             if not np.isfinite(loss.data):
                 raise NonFiniteLoss(

@@ -16,7 +16,9 @@ import pytest
 
 import mvmlc
 from mvmlc import data
-from mvmlc.cli import main, read_config_file
+from mvmlc.cli import DEFAULTS, _config, main, read_config_file
+from mvmlc.model import ModelConfig, load_checkpoint
+from mvmlc.trainer import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,13 @@ class TestTrainEval:
         _, out, _ = run_cli(capsys, *train_args(tmp_path / "ds", tmp_path / "run"))
         json.loads(out)  # raises if anything but one JSON document
 
+    @pytest.mark.parametrize("bad", [{"heads": 3}, {"epochs": 0}])
+    def test_bad_options_fail_before_writing(self, capsys, tmp_path, bad):
+        run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
+        code, out, err = run_cli(capsys, *train_args(tmp_path / "ds", tmp_path / "run", **bad))
+        assert code == 1 and out == "" and "ValueError" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigFile:
     def test_file_parsed_and_flags_override(self, capsys, tmp_path):
@@ -183,6 +192,20 @@ class TestConfigFile:
         assert manifest["options"]["epochs"] == 1      # flag wins
         assert manifest["options"]["d_e"] == 16        # file wins over default
         assert manifest["options"]["lr"] == 0.002
+
+    def test_defaults_are_the_config_defaults(self):
+        assert _config(ModelConfig, DEFAULTS) == ModelConfig()
+        assert _config(TrainConfig, DEFAULTS) == TrainConfig()
+
+    def test_config_file_reaches_the_checkpoint(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision = float64\nlayers_c = 2\nepochs = 1\nd_e = 8\nheads = 2\n")
+        run_cli(capsys, *synth_args(tmp_path / "ds", n=30))
+        code, _, _ = run_cli(capsys, "train", "--data", str(tmp_path / "ds"), "--out",
+                             str(tmp_path / "run"), "--config", str(cfg), "--batch", "16")
+        assert code == 0
+        config = load_checkpoint(tmp_path / "run" / "model.ckpt").config
+        assert config.dtype == "float64" and config.layers_c == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -218,6 +218,14 @@ class TestTotalLoss:
     def test_zero_coefficients(self):
         l_mc, l_gc, l_ac = Tensor(0.7), Tensor(0.3), Tensor(0.5)
         assert L.total_loss(l_mc, l_gc, l_ac, 0.0, 0.0).item() == 0.7
+        # a zero-weight term is left out, not multiplied by zero: 0 * inf is NaN
+        l_mc = Tensor(0.7, requires_grad=True)
+        l_gc, l_ac = Tensor(np.inf, requires_grad=True), Tensor(np.nan, requires_grad=True)
+        with ad.Tape() as tape:
+            loss = L.total_loss(l_mc * 1.0, l_gc * 1.0, l_ac * 1.0, 0.0, 0.0)
+            tape.backward(loss)
+        assert loss.item() == 0.7 and l_mc.grad == 1.0
+        assert l_gc.grad is None and l_ac.grad is None
 
     def test_alpha_linearity(self):
         l_mc, l_gc, l_ac = Tensor(0.7), Tensor(0.3), Tensor(0.5)
@@ -236,7 +244,7 @@ class TestLossContext:
         y = (rng.random((10, 4)) < 0.4).astype(float)
         g = (rng.random((10, 4)) < 0.8).astype(float)
         y = y * g
-        ctx = L.LossContext.build(y, g, alpha=10.0, beta=0.1)
+        ctx = L.LossContext.build(y, g)
         idx = np.array([7, 2, 5])
         t_b, u_b = ctx.batch(idx)
         t_direct, u_direct = L.label_similarity(y[idx], g[idx])

@@ -132,7 +132,7 @@ class TestPrecision:
         mc = ModelConfig(d_e=16, heads=2, dropout=0.1, dtype=dtype)
         tc = TrainConfig(epochs=1, batch_size=40)
         params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
-        ctx = losses.LossContext.build(ds.labels, ds.label_mask, tc.alpha, tc.beta)
+        ctx = losses.LossContext.build(ds.labels, ds.label_mask)
         t_b, u_b = ctx.batch(np.arange(ds.n))
         with DtypeTape() as tape:
             out = M.forward(ds.views, ds.view_mask, params, train=True,
@@ -318,7 +318,7 @@ class TestObjectiveProperties:
             ds = small_dataset(n=24, seed=seed)
             cfg = ModelConfig(d_e=8, heads=2, dropout=0.0, dtype="float64")
             params = ModelParams.initialize(cfg, ds.view_dims, ds.c, seed=seed)
-            ctx = losses.LossContext.build(ds.labels, ds.label_mask, alpha=alpha, beta=beta)
+            ctx = losses.LossContext.build(ds.labels, ds.label_mask)
 
             def current_loss(grad=False):
                 tape = Tape() if grad else None
@@ -329,7 +329,7 @@ class TestObjectiveProperties:
                 l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
                 l_gc = losses.graph_constraint_loss(out.view_states, ctx.label_sim,
                                                     ctx.pair_valid, ds.view_mask)
-                loss = losses.total_loss(l_mc, l_gc, l_ac, ctx.alpha, ctx.beta)
+                loss = losses.total_loss(l_mc, l_gc, l_ac, alpha, beta)
                 if tape is not None:
                     tape.backward(loss)
                     tape.__exit__(None, None, None)
