@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import data, losses
 from .errors import InfeasibleRatio
 from .model import ModelConfig, ModelParams, forward, load_checkpoint
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, evaluate, objective, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -162,12 +162,10 @@ def cmd_train(args) -> int:
     checkpoint = out / "model.ckpt"
     seeds = np.random.SeedSequence(options["seed"]).spawn(4)
     stage_seed = [int(s.generate_state(1)[0]) for s in seeds]
-    # bad options fail here, before anything is written
+    # bad options and data fail before anything is written
     model_config = _config(ModelConfig, options)
     train_config = _config(TrainConfig, options, seed=stage_seed[3],
                            checkpoint_path=str(checkpoint))
-    write_manifest(out, "train", args, options)
-
     ds = data.load_dataset(args.data)
 
     if options["view_missing"] > 0:
@@ -179,6 +177,7 @@ def cmd_train(args) -> int:
                                          seed=stage_seed[2])
         train_ds = data.apply_masks(train_ds, label_mask=g)
 
+    write_manifest(out, "train", args, options)
     data.save_dataset(train_ds, out / "train_data")
     data.save_dataset(test_ds, out / "test_data")
 
@@ -200,9 +199,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    options = resolve_options(args)
-    options.update({"checkpoint": args.checkpoint, "data": args.data})
     params = load_checkpoint(args.checkpoint)
+    options = {key: getattr(params.config, f.name) for key, f in _option_fields(ModelConfig)}
+    options.update(checkpoint=args.checkpoint, data=args.data, seed=resolve_options(args)["seed"])
     ds = data.load_dataset(args.data)
     report = evaluate(params, ds)
     report.meta.update({"seed": options["seed"], "options": options})
@@ -237,21 +236,18 @@ def cmd_gradcheck(args) -> int:
             tensor.data = 1.0 + 0.3 * rng.standard_normal(tensor.data.shape)
         else:
             tensor.data = 0.3 * rng.standard_normal(tensor.data.shape)
-    ctx = losses.LossContext.build(ds.labels, ds.label_mask)
+    t, u = losses.label_similarity(ds.labels, ds.label_mask)
 
-    def objective():
+    def loss():
         out = forward(ds.views, ds.view_mask, params, train=False)
-        l_mc = losses.masked_bce(out.main_logits, ds.labels, ds.label_mask)
-        l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
-        l_gc = losses.graph_constraint_loss(out.view_states, ctx.label_sim,
-                                            ctx.pair_valid, ds.view_mask)
-        return losses.total_loss(l_mc, l_gc, l_ac, options["alpha"], options["beta"])
+        return objective(out, ds.labels, ds.label_mask, ds.view_mask, t, u,
+                         options["alpha"], options["beta"])[0]
 
     per_group = {}
     for group, names in params.groups().items():
         if not names:
             continue
-        per_group[group] = ad.gradient_check(objective, [params[name] for name in names],
+        per_group[group] = ad.gradient_check(loss, [params[name] for name in names],
                                              eps=1e-5)
         log(f"gradcheck {group}: max rel err {per_group[group]:.3e}")
     worst = max(per_group.values())

@@ -131,20 +131,17 @@ def total_loss(l_mc: Tensor, l_gc: Tensor, l_ac: Tensor, alpha: float, beta: flo
 
 @dataclass
 class LossContext:
-    """Label-derived constants for a training set, sliceable per batch.
+    """Label similarity T and pair validity U of a training set, per batch.
 
-    T and U depend only on labels and label masks, so they are computed once
-    over the training rows and submatrices are cut out per step.
+    Holds the training set's own ``labels`` and ``label_mask`` arrays, not
+    copies, and computes T and U over a batch's rows only, so no n × n array
+    is ever built. The result equals the whole-set matrices cut to the batch
+    bit for bit: T[i, j] and U[i, j] depend only on rows i and j, and both
+    are ratios of counts that are exact sums of 0/1 values.
     """
 
-    label_sim: np.ndarray
-    pair_valid: np.ndarray
-
-    @classmethod
-    def build(cls, labels, label_mask) -> "LossContext":
-        return cls(*label_similarity(labels, label_mask))
+    labels: np.ndarray
+    label_mask: np.ndarray
 
     def batch(self, indices):
-        idx = np.asarray(indices)
-        grid = np.ix_(idx, idx)
-        return self.label_sim[grid], self.pair_valid[grid]
+        return label_similarity(self.labels[indices], self.label_mask[indices])

@@ -4,10 +4,10 @@ Everything is seeded through one master seed (parameter init, epoch
 shuffling, dropout draws), so a (seed, config, data) triple reproduces
 bit-identical parameters, history, and reports within a precision mode.
 
-Label similarity constants are computed once over the training rows and
-sliced per batch. Every step computes all three loss terms on the tape, for
-the history; ``total_loss`` leaves a zero-weight term out of the sum, so its
-records get no gradient and backward skips them. A zero-alpha run thus
+Label similarity constants are computed per batch, over the batch's rows
+only. Every step computes all three loss terms of ``objective`` on the tape,
+for the history; ``total_loss`` leaves a zero-weight term out of the sum, so
+its records get no gradient and backward skips them. A zero-alpha run thus
 updates parameters exactly like a run that never builds the graph term.
 """
 
@@ -27,7 +27,7 @@ from .data import MultiViewDataset
 from .errors import DegenerateMask, DimensionMismatch, NonFiniteLoss
 from .losses import LossContext, graph_constraint_loss, masked_bce, total_loss
 from .metrics import MetricsReport, compute_report
-from .model import ModelConfig, ModelParams, forward, save_checkpoint
+from .model import ForwardPass, ModelConfig, ModelParams, forward, save_checkpoint
 
 
 @dataclass
@@ -181,6 +181,19 @@ def _batch_views(ds: MultiViewDataset, idx: np.ndarray):
     return [x[idx] for x in ds.views]
 
 
+def objective(out: ForwardPass, labels, label_mask, view_mask, label_sim, pair_valid,
+              alpha: float, beta: float):
+    """The objective of one forward pass: (``total_loss``, l_mc, l_gc, l_ac).
+
+    The loss functions are looked up as module globals at each call, so a
+    run can swap them out.
+    """
+    l_mc = masked_bce(out.main_logits, labels, label_mask)
+    l_ac = masked_bce(out.token_logits, labels, label_mask)
+    l_gc = graph_constraint_loss(out.view_states, label_sim, pair_valid, view_mask)
+    return total_loss(l_mc, l_gc, l_ac, alpha, beta), l_mc, l_gc, l_ac
+
+
 def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
@@ -202,15 +215,14 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 
-    ctx = LossContext.build(dataset.labels, dataset.label_mask)
+    ctx = LossContext(dataset.labels, dataset.label_mask)
     state = AdamState(params)
     history = RunHistory()
     n = dataset.n
 
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(n)
-        sums = {"loss": 0.0, "l_mc": 0.0, "l_gc": 0.0, "l_ac": 0.0}
-        seen = 0
+        sums = dict.fromkeys(("loss", "l_mc", "l_gc", "l_ac"), 0.0)
         for start in range(0, n, train_config.batch_size):
             idx = order[start : start + train_config.batch_size]
             if dataset.label_mask[idx].sum() == 0:
@@ -219,19 +231,15 @@ def train(
                     raise DegenerateMask(
                         f"epoch {epoch}: batch has no known label even after resampling"
                     )
-            views_b = _batch_views(dataset, idx)
             w_b = dataset.view_mask[idx]
-            y_b = dataset.labels[idx]
-            g_b = dataset.label_mask[idx]
-            t_b, u_b = ctx.batch(idx)
 
             params.zero_grads()
             with Tape() as tape:
-                out = forward(views_b, w_b, params, train=True, rng=dropout_rng)
-                l_mc = masked_bce(out.main_logits, y_b, g_b)
-                l_ac = masked_bce(out.token_logits, y_b, g_b)
-                l_gc = graph_constraint_loss(out.view_states, t_b, u_b, w_b)
-                loss = total_loss(l_mc, l_gc, l_ac, train_config.alpha, train_config.beta)
+                out = forward(_batch_views(dataset, idx), w_b, params, train=True,
+                              rng=dropout_rng)
+                terms = objective(out, dataset.labels[idx], dataset.label_mask[idx], w_b,
+                                  *ctx.batch(idx), train_config.alpha, train_config.beta)
+                loss = terms[0]
                 tape.backward(loss)
 
             if not np.isfinite(loss.data):
@@ -246,19 +254,14 @@ def train(
                     "non-finite parameter after update"
                 )
 
+            # a redraw keeps the batch size, so the sizes sum to n per epoch
             k = len(idx)
-            seen += k
-            sums["loss"] += loss.item() * k
-            sums["l_mc"] += l_mc.item() * k
-            sums["l_gc"] += l_gc.item() * k
-            sums["l_ac"] += l_ac.item() * k
+            for key, term in zip(sums, terms, strict=True):
+                sums[key] += term.item() * k
 
         record = EpochRecord(
             epoch=epoch,
-            loss=sums["loss"] / seen,
-            l_mc=sums["l_mc"] / seen,
-            l_gc=sums["l_gc"] / seen,
-            l_ac=sums["l_ac"] / seen,
+            **{key: total / n for key, total in sums.items()},
             view_weights=[float(a) for a in params["fusion.a"].data],
         )
         if (

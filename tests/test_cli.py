@@ -176,6 +176,33 @@ class TestTrainEval:
         assert code == 1 and out == "" and "ValueError" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("data_dir, bad, error", [
+        ("nope", {}, "MissingFile"),
+        ("ds", {"train_ratio": 1.5}, "DegenerateSplit"),
+    ])
+    def test_bad_data_fails_before_writing(self, capsys, tmp_path, data_dir, bad, error):
+        run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
+        code, out, err = run_cli(capsys, *train_args(tmp_path / data_dir, tmp_path / "run", **bad))
+        assert code == 1 and out == "" and error in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_records_the_checkpoint_config(self, capsys, tmp_path):
+        run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
+        run = tmp_path / "run"
+        run_cli(capsys, *train_args(tmp_path / "ds", run, d_e=8, precision="float64", epochs=1))
+        checkpoint, test_data = str(run / "model.ckpt"), str(run / "test_data")
+        code, _, _ = run_cli(capsys, "eval", "--checkpoint", checkpoint, "--data", test_data,
+                             "--seed", "5", "--out", str(tmp_path / "evalrun"))
+        assert code == 0
+        trained = json.loads((run / "run_manifest.json").read_text())["options"]
+        model_keys = ("d_e", "heads", "layers_v", "layers_c", "dropout", "gamma", "precision")
+        expected = {"checkpoint": checkpoint, "data": test_data, "seed": 5,
+                    **{key: trained[key] for key in model_keys}}
+        assert expected["d_e"] == 8 and expected["precision"] == "float64"
+        report = json.loads((tmp_path / "evalrun" / "report.json").read_text())
+        manifest = json.loads((tmp_path / "evalrun" / "run_manifest.json").read_text())
+        assert report["meta"]["options"] == manifest["options"] == expected
+
 
 class TestConfigFile:
     def test_file_parsed_and_flags_override(self, capsys, tmp_path):

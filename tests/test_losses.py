@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mvmlc import autodiff as ad
 from mvmlc import losses as L
@@ -238,15 +241,29 @@ class TestTotalLoss:
             L.total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), -1.0, 0.0)
 
 
+@st.composite
+def label_subsets(draw):
+    """0/1 labels and label mask (some rows with no known label) and a
+    subset of row indices in random order."""
+    n = draw(st.integers(1, 30))
+    c = draw(st.integers(1, 8))
+    y = draw(hnp.arrays(np.float64, (n, c), elements=st.sampled_from([0.0, 1.0])))
+    g = draw(hnp.arrays(np.float64, (n, c), elements=st.sampled_from([0.0, 1.0, 1.0])))
+    unknown = draw(hnp.arrays(np.bool_, n))
+    g[unknown] = 0.0
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return y * g, g, np.array(idx)
+
+
 class TestLossContext:
-    def test_batch_slicing_matches_direct_computation(self):
-        rng = np.random.default_rng(8)
-        y = (rng.random((10, 4)) < 0.4).astype(float)
-        g = (rng.random((10, 4)) < 0.8).astype(float)
-        y = y * g
-        ctx = L.LossContext.build(y, g)
-        idx = np.array([7, 2, 5])
+    @settings(derandomize=True, deadline=None)
+    @given(label_subsets())
+    def test_batch_slicing_matches_direct_computation(self, case):
+        y, g, idx = case
+        ctx = L.LossContext(y, g)
+        assert ctx.labels is y and ctx.label_mask is g
         t_b, u_b = ctx.batch(idx)
-        t_direct, u_direct = L.label_similarity(y[idx], g[idx])
-        np.testing.assert_allclose(t_b, t_direct)
-        np.testing.assert_array_equal(u_b, u_direct)
+        t, u = L.label_similarity(y, g)
+        grid = np.ix_(idx, idx)
+        np.testing.assert_array_equal(t_b, t[grid])
+        np.testing.assert_array_equal(u_b, u[grid])

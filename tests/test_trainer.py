@@ -132,15 +132,12 @@ class TestPrecision:
         mc = ModelConfig(d_e=16, heads=2, dropout=0.1, dtype=dtype)
         tc = TrainConfig(epochs=1, batch_size=40)
         params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
-        ctx = losses.LossContext.build(ds.labels, ds.label_mask)
-        t_b, u_b = ctx.batch(np.arange(ds.n))
+        t, u = losses.label_similarity(ds.labels, ds.label_mask)
         with DtypeTape() as tape:
             out = M.forward(ds.views, ds.view_mask, params, train=True,
                             rng=np.random.default_rng(0))
-            l_mc = losses.masked_bce(out.main_logits, ds.labels, ds.label_mask)
-            l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
-            l_gc = losses.graph_constraint_loss(out.view_states, t_b, u_b, ds.view_mask)
-            loss = losses.total_loss(l_mc, l_gc, l_ac, tc.alpha, tc.beta)
+            loss, *_ = trainer_mod.objective(out, ds.labels, ds.label_mask, ds.view_mask,
+                                             t, u, tc.alpha, tc.beta)
             tape.backward(loss)
         want = np.dtype(dtype)
         assert set(tape.dtypes) == {want}
@@ -204,6 +201,20 @@ class TestTrain:
         params_b, _ = train(mc, tc, ds)
         for name in params_a.names():
             np.testing.assert_array_equal(params_a[name].data, params_b[name].data)
+
+    def test_label_constants_never_span_more_than_a_batch(self, monkeypatch):
+        rows = []
+        label_similarity = losses.label_similarity
+
+        def recording(labels, label_mask):
+            rows.append(len(labels))
+            return label_similarity(labels, label_mask)
+
+        monkeypatch.setattr(losses, "label_similarity", recording)
+        ds = small_dataset(n=60)
+        mc, tc = small_configs(epochs=2, batch_size=16)
+        train(mc, tc, ds)
+        assert rows and max(rows) <= tc.batch_size
 
     def test_degenerate_label_mask_aborts(self):
         ds = small_dataset(n=20)
@@ -318,18 +329,15 @@ class TestObjectiveProperties:
             ds = small_dataset(n=24, seed=seed)
             cfg = ModelConfig(d_e=8, heads=2, dropout=0.0, dtype="float64")
             params = ModelParams.initialize(cfg, ds.view_dims, ds.c, seed=seed)
-            ctx = losses.LossContext.build(ds.labels, ds.label_mask)
+            t, u = losses.label_similarity(ds.labels, ds.label_mask)
 
             def current_loss(grad=False):
                 tape = Tape() if grad else None
                 if tape is not None:
                     tape.__enter__()
                 out = M.forward(ds.views, ds.view_mask, params, train=False)
-                l_mc = losses.masked_bce(out.main_logits, ds.labels, ds.label_mask)
-                l_ac = losses.masked_bce(out.token_logits, ds.labels, ds.label_mask)
-                l_gc = losses.graph_constraint_loss(out.view_states, ctx.label_sim,
-                                                    ctx.pair_valid, ds.view_mask)
-                loss = losses.total_loss(l_mc, l_gc, l_ac, alpha, beta)
+                loss, *_ = trainer_mod.objective(out, ds.labels, ds.label_mask, ds.view_mask,
+                                                 t, u, alpha, beta)
                 if tape is not None:
                     tape.backward(loss)
                     tape.__exit__(None, None, None)
