@@ -25,19 +25,17 @@ still promote by numpy's rules.
 
 Fused primitives: every tape record costs Python overhead in the forward
 and the backward pass, and at small widths that overhead, not arithmetic,
-bounds a training step. Three composite operations therefore record few
-entries, each with a hand-written backward:
+bounds a training step. Three composite operations therefore record one
+entry each, with a hand-written backward:
 
 - ``linear(x, w, b)``: ``x @ w + b`` with any leading axes of ``x``
-  flattened, so forward and backward are each one 2-D GEMM. One record.
+  flattened, so forward and backward are each one 2-D GEMM.
 - ``attention(qkv, heads, mask)``: multi-head scaled dot-product attention
-  on packed query/key/value projections. Three records: the scores with
-  the head split, ``softmax`` or ``masked_softmax`` itself (so masking
-  stays bit-exact and lives in one place), and the value mix with the
-  head merge.
+  on packed query/key/value projections, head split and merge included.
+  Its weights come from ``softmax`` or ``masked_softmax`` applied to the
+  plain scores array, so masking stays bit-exact and lives in one place.
 - ``bce_with_logits(logits, targets, weights)``: binary cross-entropy in
   logit space, which keeps a gradient where a float32 sigmoid saturates.
-  One record.
 """
 
 from __future__ import annotations
@@ -552,19 +550,17 @@ def _softmax_last_axis(filled: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_backward(p: np.ndarray):
-    def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return ((g - dot) * p,)
-
-    return backward
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the logits of softmax weights ``p`` whose gradient is ``g``."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return (g - dot) * p
 
 
 def softmax(a) -> Tensor:
     """Numerically stable softmax along the last axis."""
     a = _as_tensor(a)
     p = _softmax_last_axis(a.data)
-    return _make(p, (a,), _softmax_backward(p))
+    return _make(p, (a,), lambda g: (_softmax_backward(p, g),))
 
 
 def masked_softmax(scores, mask) -> Tensor:
@@ -585,25 +581,25 @@ def masked_softmax(scores, mask) -> Tensor:
     p = _softmax_last_axis(filled)
     # p is exactly 0 at masked positions, so the softmax Jacobian already
     # sends zero gradient to their logits.
-    return _make(p, (scores,), _softmax_backward(p))
+    return _make(p, (scores,), lambda g: (_softmax_backward(p, g),))
 
 
 def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
-    """Multi-head scaled dot-product self-attention as three tape records.
+    """Multi-head scaled dot-product self-attention as one tape record.
 
     ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
     along the last axis. Each is split into ``heads`` heads of width
-    d_h = d / heads. One record computes the scores ``q @ k^T / sqrt(d_h)``
-    of every head; ``softmax``, or ``masked_softmax`` when ``mask`` (n, t, t)
-    is given, turns them into weights over the key axis; one record mixes
-    the values and merges the heads. Returns ``(mixed, probs)``: the merged
-    head outputs (n, t, d) and the attention weights (n, heads, t, t).
+    d_h = d / heads. The scores ``q @ k^T / sqrt(d_h)`` of every head go
+    through ``softmax``, or ``masked_softmax`` when ``mask`` (n, t, t) is
+    given, to weights over the key axis, which mix the values; the heads
+    are then merged. Returns ``(mixed, probs)``: the merged head outputs
+    (n, t, d), recorded on the tape, and the attention weights
+    (n, heads, t, t) as a constant Tensor, which gets no gradient.
 
-    The head split and merge are views and reshapes inside the two fused
-    records, so they cost no records of their own. The mix record takes
-    only the weights as input and hands the value gradient to the scores
-    record, which the tape always runs after it, so ``qkv`` receives one
-    packed gradient array. The backward pass reuses the stored weights
+    The head split and merge are views and reshapes, and the softmax runs
+    on a plain array, so none of them records anything. The backward pass
+    runs the value mix, the softmax Jacobian and the scores in reverse and
+    returns one packed ``qkv`` gradient. It reuses the stored weights
     instead of recomputing them from ``qkv``: they hold n * heads * t * t
     values against the n * t * 3d of ``qkv``, fewer whenever
     heads * t < 3d, as in both encoders here.
@@ -620,27 +616,22 @@ def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
     scale = qkv.data.dtype.type(1.0 / math.sqrt(d_h))
     # (3, n, heads, t, d_h) views of the packed projections
     q, k, v = qkv.data.reshape(n, t, 3, heads, d_h).transpose(2, 0, 3, 1, 4)
-    g_v = []  # set by the mix backward; empty if no gradient reached the mix
-
-    def scores_backward(g):
-        g = g * scale
-        g_qkv = np.stack((g @ k, _swap_last(g) @ q, g_v[0] if g_v else np.zeros_like(v)))
-        return (g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, t, d3),)
-
-    scores = _make((q @ _swap_last(k)) * scale, (qkv,), scores_backward)
+    scores = (q @ _swap_last(k)) * scale
     if mask is None:
         probs = softmax(scores)
     else:
         probs = masked_softmax(scores, np.asarray(mask)[:, None, :, :])
     p = probs.data
 
-    def mix_backward(g):
+    def backward(g):
         g_heads = g.reshape(n, t, heads, d_h).transpose(0, 2, 1, 3)
-        g_v.append(_swap_last(p) @ g_heads)
-        return (g_heads @ _swap_last(v),)
+        g_v = _swap_last(p) @ g_heads
+        g_scores = _softmax_backward(p, g_heads @ _swap_last(v)) * scale
+        g_qkv = np.stack((g_scores @ k, _swap_last(g_scores) @ q, g_v))
+        return (g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, t, d3),)
 
     mixed = (p @ v).transpose(0, 2, 1, 3).reshape(n, t, d)
-    return _make(mixed, (probs,), mix_backward), probs
+    return _make(mixed, (qkv,), backward), probs
 
 
 def bce_with_logits(logits, targets, weights) -> Tensor:

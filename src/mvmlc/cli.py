@@ -1,8 +1,8 @@
 """Command-line interface: synth, corrupt, train, eval, gradcheck.
 
-Each run writes a manifest echoing every resolved option into its output
-directory, so a run is reproducible from the manifest alone. Exactly one
-JSON document goes to stdout per command; all diagnostics go to stderr.
+Each run writes a manifest echoing every resolved option it reads into its
+output directory, so a run is reproducible from the manifest alone. Exactly
+one JSON document goes to stdout per command; all diagnostics go to stderr.
 
 Option keys are the ``ModelConfig`` / ``TrainConfig`` field names (or their
 ``_RENAMED`` keys), with the field default and its type as parser; only the
@@ -25,20 +25,18 @@ import numpy as np
 from . import autodiff as ad
 from . import data, losses
 from .errors import InfeasibleRatio
-from .model import ModelConfig, ModelParams, forward, load_checkpoint
+from .model import ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, evaluate, objective, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
-# option keys of renamed config fields (as config files and manifests use
-# them), and config fields that are not options
+# option keys of renamed config fields, as config files and manifests use them
 _RENAMED = {"dtype": "precision", "batch_size": "batch", "learning_rate": "lr"}
-_NOT_OPTIONS = {"beta1", "beta2", "adam_eps", "checkpoint_path"}
 
 
 def _option_fields(cls) -> list:
-    """(option key, field) for each option a config dataclass owns."""
-    return [(_RENAMED.get(f.name, f.name), f) for f in fields(cls) if f.name not in _NOT_OPTIONS]
+    """(option key, field) for each field of a config dataclass."""
+    return [(_RENAMED.get(f.name, f.name), f) for f in fields(cls)]
 
 
 DEFAULTS = {key: f.default for cls in (ModelConfig, TrainConfig) for key, f in _option_fields(cls)}
@@ -109,9 +107,8 @@ def log(message: str):
 
 
 def cmd_synth(args) -> int:
-    options = resolve_options(args)
-    options.update({"n": args.n, "m": args.m, "c": args.c, "d_latent": args.d_latent,
-                    "dims": args.dims, "noise": args.noise})
+    options = {"seed": resolve_options(args)["seed"], "n": args.n, "m": args.m, "c": args.c,
+               "d_latent": args.d_latent, "dims": args.dims, "noise": args.noise}
     dims = [int(d) for d in args.dims.split(",")] if args.dims else None
     if dims is None:
         rng = np.random.default_rng(options["seed"])
@@ -127,7 +124,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    options = resolve_options(args)
+    resolved = resolve_options(args)
+    options = {key: resolved[key] for key in ("seed", "view_missing", "label_missing")}
     options["data"] = args.data
     ds = data.load_dataset(args.data)
     seeds = np.random.SeedSequence(options["seed"]).spawn(2)
@@ -164,8 +162,7 @@ def cmd_train(args) -> int:
     stage_seed = [int(s.generate_state(1)[0]) for s in seeds]
     # bad options and data fail before anything is written
     model_config = _config(ModelConfig, options)
-    train_config = _config(TrainConfig, options, seed=stage_seed[3],
-                           checkpoint_path=str(checkpoint))
+    train_config = _config(TrainConfig, options, seed=stage_seed[3])
     ds = data.load_dataset(args.data)
 
     if options["view_missing"] > 0:
@@ -183,6 +180,7 @@ def cmd_train(args) -> int:
 
     log(f"training on {train_ds.n} rows ({test_ds.n} held out)")
     params, history = train(model_config, train_config, train_ds, eval_dataset=test_ds)
+    save_checkpoint(params, checkpoint)
     log(f"trained {params.num_parameters()} parameters")
     history.save_jsonl(out / "history.jsonl")
 
@@ -214,7 +212,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Finite-difference check of the full objective on a tiny 64-bit model."""
-    options = resolve_options(args)
+    resolved = resolve_options(args)
+    options = {key: resolved[key] for key in ("seed", "alpha", "beta", "gamma")}
     n, m, c, d_e = 4, 3, 5, 16
     ds = data.make_synthetic(n, m, c, 3, [4, 5, 6], noise=0.3, seed=options["seed"])
     w = np.ones((n, m))

@@ -9,8 +9,8 @@ information. c+1 heads read the outputs: one multi-label head on the
 consensus token and one scalar head per class token.
 
 The heads emit logits, and the losses work in logit space. ``forward``
-applies the sigmoid only at the edge, to give ``ForwardPass.p_main`` and
-``p_tokens``; ``evaluate`` ranks ``p_main``.
+applies the sigmoid only at the edge, to the main head, to give
+``ForwardPass.p_main``, which ``evaluate`` ranks.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
@@ -239,7 +239,8 @@ def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str):
 
     x: (n, t, d_e); mask: (n, t, t) binary or None for unmasked attention.
     Returns (mixed, probs) where mixed is the concatenated head outputs
-    (n, t, d_e) before the output projection and probs is (n, h, t, t).
+    (n, t, d_e) before the output projection and probs is the constant
+    (n, h, t, t) attention weights.
     """
     return ad.attention(ad.linear(x, _qkv_weight(params, prefix)), params.config.heads, mask)
 
@@ -367,7 +368,6 @@ class ForwardPass:
     main_logits: Tensor      # (n, c) main head logits, what the losses read
     token_logits: Tensor     # (n, c) per-class-token head logits
     p_main: Tensor           # (n, c) main predictions: sigmoid of main_logits
-    p_tokens: Tensor         # (n, c) per-class-token predictions
 
 
 def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None) -> ForwardPass:
@@ -377,7 +377,7 @@ def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None
     consensus, class_states = class_token_encoder_forward(fused, params, train=train, rng=rng)
     main_logits, token_logits = predict(consensus, class_states, params)
     return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits,
-                       ad.sigmoid(main_logits), ad.sigmoid(token_logits))
+                       ad.sigmoid(main_logits))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +405,21 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with np.load(path) as bundle:
-        meta = json.loads(bundle["__meta__"].tobytes().decode("utf-8"))
+    """Read a ``save_checkpoint`` file; a file of any other layout raises
+    ValueError naming it."""
+    bundle = np.load(path)
+    if not isinstance(bundle, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    with bundle:
+        meta = (json.loads(bundle["__meta__"].tobytes().decode("utf-8"))
+                if "__meta__" in bundle.files else {})
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        missing = [name for name in meta["names"] if f"param:{name}" not in bundle.files]
+        if missing:
+            raise ValueError(f"{path} lists parameters it does not hold: {missing}")
         config = ModelConfig(**meta["config"])
         tensors = {
             name: Tensor(bundle[f"param:{name}"].copy(), requires_grad=True)

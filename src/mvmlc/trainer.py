@@ -27,7 +27,12 @@ from .data import MultiViewDataset
 from .errors import DegenerateMask, DimensionMismatch, NonFiniteLoss
 from .losses import LossContext, graph_constraint_loss, masked_bce, total_loss
 from .metrics import MetricsReport, compute_report
-from .model import ForwardPass, ModelConfig, ModelParams, forward, save_checkpoint
+from .model import ForwardPass, ModelConfig, ModelParams, forward
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -37,14 +42,10 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     alpha: float = 10.0
     beta: float = 0.1
     seed: int = 0
     eval_every: int = 0          # 0 disables periodic evaluation
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -116,7 +117,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, config: TrainC
 
     state.step += 1
     t = state.step
-    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.adam_eps
+    lr, b1, b2, eps = config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     m, v, work = state.flat_m, state.flat_v, state.work
     # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, through one work buffer
     m *= b1
@@ -272,8 +273,6 @@ def train(
             record.eval_report = evaluate(params, eval_dataset).to_dict()
         history.append(record)
 
-    if train_config.checkpoint_path:
-        save_checkpoint(params, train_config.checkpoint_path)
     return params, history
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mvmlc
+from mvmlc import autodiff as ad
 from mvmlc import data
 from mvmlc.cli import DEFAULTS, _config, main, read_config_file
 from mvmlc.model import ModelConfig, load_checkpoint
@@ -186,6 +187,16 @@ class TestTrainEval:
         assert code == 1 and out == "" and error in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name, write", [("array.npy", np.save), ("no_meta.npz", np.savez)])
+    def test_eval_of_a_malformed_checkpoint_exits_1(self, capsys, tmp_path, name, write):
+        run_cli(capsys, *synth_args(tmp_path / "ds"))
+        write(tmp_path / name, np.zeros(3))
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / name),
+                                 "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "ev"))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ValueError")
+        assert name in err
+
     def test_eval_records_the_checkpoint_config(self, capsys, tmp_path):
         run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
         run = tmp_path / "run"
@@ -239,6 +250,25 @@ class TestConfigFile:
         cfg.write_text("unknown_thing = 3\n")
         with pytest.raises(ValueError):
             read_config_file(cfg)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["synth", "corrupt", "gradcheck"])
+    def test_records_only_the_options_read(self, capsys, tmp_path, monkeypatch, command):
+        # the manifest does not depend on the finite differences, so skip them
+        monkeypatch.setattr(ad, "gradient_check", lambda *args, **kwargs: 0.0)
+        run_cli(capsys, *synth_args(tmp_path / "ds"))
+        out = ["--seed", "1", "--out", str(tmp_path / "run")]
+        argv, keys = {
+            "synth": (synth_args(tmp_path / "run"),
+                      {"seed", "n", "m", "c", "d_latent", "dims", "noise"}),
+            "corrupt": (["corrupt", "--data", str(tmp_path / "ds"), *out],
+                        {"seed", "data", "view_missing", "label_missing"}),
+            "gradcheck": (["gradcheck", *out], {"seed", "alpha", "beta", "gamma"}),
+        }[command]
+        assert run_cli(capsys, *argv)[0] == 0
+        manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+        assert set(manifest["options"]) == keys
 
 
 class TestGradcheck:

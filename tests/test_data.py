@@ -54,7 +54,7 @@ class TestLoadDataset:
         manifest = json.loads((basic_dir / "manifest.json").read_text())
         manifest["view_mask"] = "w.csv"
         write_manifest(basic_dir, manifest)
-        with pytest.raises(EmptyRowMask):
+        with pytest.raises(EmptyRowMask), pytest.warns(UserWarning, match="zero-filling"):
             data.load_dataset(basic_dir)
 
     def test_missing_file(self, tmp_path):

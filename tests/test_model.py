@@ -305,7 +305,7 @@ class TestPredict:
         rng = np.random.default_rng(14)
         views, w = random_inputs(rng, 5, params.view_dims, missing=0.3)
         out = M.forward(views, w, params)
-        for p in (out.p_main.data, out.p_tokens.data):
+        for p in (out.p_main.data, ad.sigmoid(out.token_logits).data):
             assert np.all(p > 0) and np.all(p < 1)
 
 
@@ -320,7 +320,7 @@ class TestEndToEnd:
         assert out.consensus.shape == (7, 8)
         assert out.class_states.shape == (7, 4, 8)
         assert out.p_main.shape == (7, 4)
-        assert out.p_tokens.shape == (7, 4)
+        assert out.token_logits.shape == (7, 4)
 
     def test_train_mode_dropout_is_seeded(self):
         params = tiny_params(dtype="float32")
@@ -344,7 +344,7 @@ class TestEndToEnd:
         pert = M.forward(noisy, w, params)
         np.testing.assert_array_equal(base.fused.data, pert.fused.data)
         np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
-        np.testing.assert_array_equal(base.p_tokens.data, pert.p_tokens.data)
+        np.testing.assert_array_equal(base.token_logits.data, pert.token_logits.data)
 
     def test_gradients_reach_every_parameter_group(self):
         params = tiny_params(dropout=0.0)
@@ -352,7 +352,8 @@ class TestEndToEnd:
         views, w = random_inputs(rng, 4, params.view_dims, missing=0.3)
         with ad.Tape() as tape:
             out = M.forward(views, w, params)
-            loss = (out.p_main * out.p_main).sum() + (out.p_tokens * out.p_tokens).sum()
+            p_tokens = ad.sigmoid(out.token_logits)
+            loss = (out.p_main * out.p_main).sum() + (p_tokens * p_tokens).sum()
             tape.backward(loss)
         for group, names in params.groups().items():
             got = any(params[n].grad is not None and np.any(params[n].grad != 0) for n in names)
@@ -377,3 +378,13 @@ class TestCheckpoint:
         np.savez(path, __meta__=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
         with pytest.raises(ValueError):
             M.load_checkpoint(path)
+        np.save(tmp_path / "array.npy", np.zeros(3))
+        np.savez(tmp_path / "no_meta.npz", x=np.zeros(3))
+        good = tmp_path / "good.ckpt"
+        M.save_checkpoint(tiny_params(), good)
+        with np.load(good) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files if key != "param:cls"}
+        np.savez(tmp_path / "short.npz", **arrays)
+        for name in ("array.npy", "no_meta.npz", "short.npz"):
+            with pytest.raises(ValueError, match=name):
+                M.load_checkpoint(tmp_path / name)

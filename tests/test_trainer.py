@@ -9,7 +9,8 @@ from mvmlc import data, losses, model as M
 from mvmlc.autodiff import Tape, Tensor
 from mvmlc.errors import DegenerateMask, DimensionMismatch, NonFiniteLoss, NonFiniteScores
 from mvmlc.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
-from mvmlc.trainer import AdamState, TrainConfig, adam_step, evaluate, train
+from mvmlc.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, adam_step,
+                           evaluate, train)
 
 
 def small_dataset(n=60, m=2, c=4, seed=0, noise=0.2):
@@ -46,7 +47,7 @@ class TestAdam:
         g = np.array([0.5, -2.0])
         adam_step(params, {"w": g}, state, cfg)
         # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
-        expected = 1.0 - 0.01 * g / (np.abs(g) + cfg.adam_eps)
+        expected = 1.0 - 0.01 * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(params["w"].data, expected, rtol=1e-12)
 
     def test_moments_decay_after_zero_gradient(self):
@@ -56,7 +57,7 @@ class TestAdam:
         adam_step(params, {"w": np.array([1.0])}, state, cfg)
         m_before = state.m["w"].copy()
         adam_step(params, {"w": np.zeros(1)}, state, cfg)
-        np.testing.assert_allclose(state.m["w"], cfg.beta1 * m_before)
+        np.testing.assert_allclose(state.m["w"], ADAM_BETA1 * m_before)
 
     def test_deterministic_over_ten_steps(self):
         results = []
@@ -80,7 +81,7 @@ class TestAdam:
         m = {name: np.zeros_like(w) for name, w in want.items()}
         v = {name: np.zeros_like(w) for name, w in want.items()}
         state, cfg = AdamState(params), TrainConfig(learning_rate=0.01, seed=0)
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for t in range(1, 6):
             grads = {name: rng.standard_normal(shape).astype(np.float32)
                      for name, shape in shapes.items() if name != "b" or t % 2}
@@ -90,7 +91,7 @@ class TestAdam:
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
                 update = (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t))
-                                                      + cfg.adam_eps)
+                                                      + ADAM_EPS)
                 want[name] = w - (cfg.learning_rate * update).astype(w.dtype)
                 np.testing.assert_array_equal(params[name].data, want[name])
                 np.testing.assert_array_equal(state.m[name], m[name])
@@ -231,21 +232,16 @@ class TestTrain:
     def test_non_finite_loss_aborts(self):
         ds = small_dataset(n=32)
         mc, tc = small_configs(epochs=30, learning_rate=1e18)
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss), np.errstate(over="ignore", invalid="ignore"):
             train(mc, tc, ds)
 
-    def test_checkpoint_written_and_periodic_eval(self, tmp_path):
+    def test_periodic_eval(self):
         ds = small_dataset()
         train_ds, test_ds = data.split(ds, 0.7, seed=1)
-        path = tmp_path / "model.ckpt"
-        mc, tc = small_configs(epochs=4, eval_every=2, checkpoint_path=str(path))
-        params, history = train(mc, tc, train_ds, eval_dataset=test_ds)
-        assert path.exists()
+        mc, tc = small_configs(epochs=4, eval_every=2)
+        _, history = train(mc, tc, train_ds, eval_dataset=test_ds)
         evals = [r.eval_report for r in history.records]
         assert evals[0] is None and evals[1] is not None and evals[3] is not None
-        loaded = load_checkpoint(path)
-        for name in params.names():
-            np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
     def test_history_jsonl_round_trip(self, tmp_path):
         ds = small_dataset()
