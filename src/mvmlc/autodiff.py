@@ -584,7 +584,7 @@ def masked_softmax(scores, mask) -> Tensor:
     return _make(p, (scores,), lambda g: (_softmax_backward(p, g),))
 
 
-def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
+def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]:
     """Multi-head scaled dot-product self-attention as one tape record.
 
     ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
@@ -593,16 +593,22 @@ def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
     through ``softmax``, or ``masked_softmax`` when ``mask`` (n, t, t) is
     given, to weights over the key axis, which mix the values; the heads
     are then merged. Returns ``(mixed, probs)``: the merged head outputs
-    (n, t, d), recorded on the tape, and the attention weights
-    (n, heads, t, t) as a constant Tensor, which gets no gradient.
+    (n, r, d), recorded on the tape, and the attention weights
+    (n, heads, r, t) as a constant Tensor, which gets no gradient.
+
+    r is t unless ``queries`` is an int in [1, t]: then only the first r
+    tokens act as queries, every token still serves as a key and a value,
+    only the first r rows of ``mask`` are read, and the other query slots
+    of ``qkv`` get zero gradient. Each output row depends on its own query
+    only, so the result is the first r rows of full attention.
 
     The head split and merge are views and reshapes, and the softmax runs
     on a plain array, so none of them records anything. The backward pass
     runs the value mix, the softmax Jacobian and the scores in reverse and
     returns one packed ``qkv`` gradient. It reuses the stored weights
-    instead of recomputing them from ``qkv``: they hold n * heads * t * t
+    instead of recomputing them from ``qkv``: they hold n * heads * r * t
     values against the n * t * 3d of ``qkv``, fewer whenever
-    heads * t < 3d, as in both encoders here.
+    heads * r < 3d, as in both encoders here.
     """
     qkv = _as_tensor(qkv)
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
@@ -611,26 +617,34 @@ def attention(qkv, heads: int, mask=None) -> tuple[Tensor, Tensor]:
             f"heads={heads}, got {qkv.data.shape}"
         )
     n, t, d3 = qkv.data.shape
+    if queries is not None and not 1 <= queries <= t:
+        raise DimensionMismatch(f"queries={queries} must lie in [1, {t}] for {t} tokens")
+    r = t if queries is None else queries
     d = d3 // 3
     d_h = d // heads
     scale = qkv.data.dtype.type(1.0 / math.sqrt(d_h))
     # (3, n, heads, t, d_h) views of the packed projections
     q, k, v = qkv.data.reshape(n, t, 3, heads, d_h).transpose(2, 0, 3, 1, 4)
+    if queries is not None:
+        q = q[:, :, :r]
     scores = (q @ _swap_last(k)) * scale
     if mask is None:
         probs = softmax(scores)
     else:
-        probs = masked_softmax(scores, np.asarray(mask)[:, None, :, :])
+        probs = masked_softmax(scores, np.asarray(mask)[:, None, :r, :])
     p = probs.data
 
     def backward(g):
-        g_heads = g.reshape(n, t, heads, d_h).transpose(0, 2, 1, 3)
+        g_heads = g.reshape(n, r, heads, d_h).transpose(0, 2, 1, 3)
         g_v = _swap_last(p) @ g_heads
         g_scores = _softmax_backward(p, g_heads @ _swap_last(v)) * scale
-        g_qkv = np.stack((g_scores @ k, _swap_last(g_scores) @ q, g_v))
+        g_q = g_scores @ k
+        if queries is not None:
+            g_q = np.concatenate((g_q, np.zeros((n, heads, t - r, d_h), g_q.dtype)), axis=2)
+        g_qkv = np.stack((g_q, _swap_last(g_scores) @ q, g_v))
         return (g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, t, d3),)
 
-    mixed = (p @ v).transpose(0, 2, 1, 3).reshape(n, t, d)
+    mixed = (p @ v).transpose(0, 2, 1, 3).reshape(n, r, d)
     return _make(mixed, (qkv,), backward), probs
 
 

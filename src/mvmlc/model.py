@@ -10,7 +10,10 @@ consensus token and one scalar head per class token.
 
 The heads emit logits, and the losses work in logit space. ``forward``
 applies the sigmoid only at the edge, to the main head, to give
-``ForwardPass.p_main``, which ``evaluate`` ranks.
+``ForwardPass.p_main``, which ``evaluate`` ranks. Only the training loss
+reads the class tokens, so evaluation runs ``forward(..., tokens=False)``:
+the last class-token layer computes the consensus row only, and the
+per-class token heads do not run.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
@@ -25,7 +28,7 @@ the embedding width.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -234,23 +237,33 @@ def _qkv_weight(params: ModelParams, prefix: str) -> Tensor:
     return ad.concat([params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")], axis=1)
 
 
-def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str):
+def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str, queries=None):
     """Multi-head scaled dot-product attention over the token axis.
 
     x: (n, t, d_e); mask: (n, t, t) binary or None for unmasked attention.
     Returns (mixed, probs) where mixed is the concatenated head outputs
-    (n, t, d_e) before the output projection and probs is the constant
-    (n, h, t, t) attention weights.
+    (n, r, d_e) before the output projection and probs is the constant
+    (n, h, r, t) attention weights. r is t, or ``queries`` when only the
+    first ``queries`` tokens are asked for (see ``ad.attention``).
     """
-    return ad.attention(ad.linear(x, _qkv_weight(params, prefix)), params.config.heads, mask)
+    return ad.attention(ad.linear(x, _qkv_weight(params, prefix)), params.config.heads, mask,
+                        queries)
+
+
+def _query_rows(x: Tensor, queries) -> Tensor:
+    """The tokens of x (n, t, d_e) that act as queries: all, or the first ``queries``."""
+    return x if queries is None or queries == x.shape[1] else x[:, :queries]
 
 
 def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str,
-                   train: bool, rng) -> Tensor:
+                   train: bool, rng, queries=None) -> Tensor:
+    """One pre-norm encoder layer; it returns only the first ``queries``
+    tokens when that is an int, since every token's output depends on its
+    own query alone."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"],
                            eps=LAYER_NORM_EPS)
-    mixed, _ = masked_attention(normed, mask, params, prefix)
-    return _encoder_tail(x, mixed, params, prefix, train, rng)
+    mixed, _ = masked_attention(normed, mask, params, prefix, queries)
+    return _encoder_tail(_query_rows(x, queries), mixed, params, prefix, train, rng)
 
 
 def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str,
@@ -265,7 +278,7 @@ def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str,
 
 
 def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
-                        train: bool, rng) -> Tensor:
+                        train: bool, rng, queries=None) -> Tensor:
     """An encoder layer over [fused, cls] tokens whose c class tokens are the
     same for every sample.
 
@@ -277,18 +290,23 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
     gemv, which can round differently from a GEMM; projecting the n + c >= 2
     rows together keeps every product a GEMM, so in float64 the output is
     bit-identical to ``_encoder_layer`` over the concatenated tokens.
+
+    ``queries`` is as in ``_encoder_layer``. With ``queries=1`` the layer
+    returns only the fused token, so its residual is ``fused`` alone.
     """
     n, d = fused.shape
     c = params.n_labels
     cls = params["cls"]
-    tokens = ad.concat([fused.reshape((n, 1, d)), ad.broadcast_to(cls, (n, c, d))], axis=1)
+    tokens = fused.reshape((n, 1, d))
+    if queries != 1:
+        tokens = ad.concat([tokens, ad.broadcast_to(cls, (n, c, d))], axis=1)
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
                            params[f"{prefix}.ln1_b"], eps=LAYER_NORM_EPS)
     proj = ad.linear(normed, _qkv_weight(params, prefix))
     qkv = ad.concat([proj[:n].reshape((n, 1, 3 * d)), ad.broadcast_to(proj[n:], (n, c, 3 * d))],
                     axis=1)
-    mixed, _ = ad.attention(qkv, params.config.heads)
-    return _encoder_tail(tokens, mixed, params, prefix, train, rng)
+    mixed, _ = ad.attention(qkv, params.config.heads, queries=queries)
+    return _encoder_tail(_query_rows(tokens, queries), mixed, params, prefix, train, rng)
 
 
 def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams,
@@ -325,7 +343,7 @@ def fusion_weights(params: ModelParams) -> np.ndarray:
 
 
 def class_token_encoder_forward(fused: Tensor, params: ModelParams,
-                                train: bool = False, rng=None):
+                                train: bool = False, rng=None, tokens: bool = True):
     """Unmasked encoder over [fused sample vector, c class tokens].
 
     Returns (consensus, class_states): the first output token (n, d_e) and
@@ -333,26 +351,38 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams,
     feed every sample; attention specializes them per sample. Layer 0 sees
     the class tokens before any sample has touched them, so it projects them
     once (``_shared_token_layer``); deeper layers run per sample.
+
+    With ``tokens=False`` only the consensus is wanted: the last layer
+    still attends over all c + 1 tokens but computes only the consensus
+    row (``queries=1``), and class_states is None. In eval mode the
+    consensus equals the full path's up to rounding, since the GEMMs run
+    over fewer rows; in train mode the dropout draws differ as well.
     """
     cfg = params.config
     if fused.ndim != 2 or fused.shape[1] != cfg.d_e:
         raise DimensionMismatch(f"fused states have shape {fused.shape}; expected (n, {cfg.d_e})")
-    tokens = _shared_token_layer(fused, params, "cls_enc.0", train, rng)
+    queries = [None] * cfg.layers_c
+    if not tokens:
+        queries[-1] = 1
+    x = _shared_token_layer(fused, params, "cls_enc.0", train, rng, queries[0])
     for layer in range(1, cfg.layers_c):
-        tokens = _encoder_layer(tokens, None, params, f"cls_enc.{layer}", train, rng)
-    return tokens[:, 0, :], tokens[:, 1:, :]
+        x = _encoder_layer(x, None, params, f"cls_enc.{layer}", train, rng, queries[layer])
+    return x[:, 0, :], (x[:, 1:, :] if tokens else None)
 
 
-def predict(consensus: Tensor, class_states: Tensor, params: ModelParams):
+def predict(consensus: Tensor, class_states: Tensor | None, params: ModelParams):
     """Logits of the c+1 heads.
 
     main_logits (n, c) come from the shared head on the consensus token;
     their sigmoid is what inference and metrics use. token_logits (n, c)
-    stack the c per-class scalar heads, each reading only its own token.
+    stack the c per-class scalar heads, each reading only its own token;
+    they are None when class_states is None.
     """
     c = params.n_labels
     d = params.config.d_e
     main_logits = ad.linear(consensus, params["head_main.w"], params["head_main.b"])
+    if class_states is None:
+        return main_logits, None
     token_logits = (class_states * params["head_tokens.w"].reshape((1, c, d))).sum(axis=2)
     return main_logits, token_logits + params["head_tokens.b"]
 
@@ -361,20 +391,25 @@ def predict(consensus: Tensor, class_states: Tensor, params: ModelParams):
 class ForwardPass:
     """All intermediate and final tensors of one forward evaluation."""
 
-    view_states: Tensor      # (n, m, d_e) encoder output per view
-    fused: Tensor            # (n, d_e) weighted fusion
-    consensus: Tensor        # (n, d_e) first token of the class encoder
-    class_states: Tensor     # (n, c, d_e) specialized class tokens
-    main_logits: Tensor      # (n, c) main head logits, what the losses read
-    token_logits: Tensor     # (n, c) per-class-token head logits
-    p_main: Tensor           # (n, c) main predictions: sigmoid of main_logits
+    view_states: Tensor          # (n, m, d_e) encoder output per view
+    fused: Tensor                # (n, d_e) weighted fusion
+    consensus: Tensor            # (n, d_e) first token of the class encoder
+    class_states: Tensor | None  # (n, c, d_e) specialized class tokens; None if tokens=False
+    main_logits: Tensor          # (n, c) main head logits, what the losses read
+    token_logits: Tensor | None  # (n, c) per-class-token head logits; None if tokens=False
+    p_main: Tensor               # (n, c) main predictions: sigmoid of main_logits
 
 
-def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None) -> ForwardPass:
+def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None,
+            tokens: bool = True) -> ForwardPass:
+    """Run the whole model on a batch. ``tokens=False`` skips the class-token
+    states and their heads, which only the training loss reads (see
+    ``class_token_encoder_forward``)."""
     embedded = embed_views(views, params, train=train, rng=rng)
     view_states = view_encoder_forward(embedded, view_mask, params, train=train, rng=rng)
     fused = adaptive_fusion(view_states, view_mask, params["fusion.a"], params.config.gamma)
-    consensus, class_states = class_token_encoder_forward(fused, params, train=train, rng=rng)
+    consensus, class_states = class_token_encoder_forward(fused, params, train=train, rng=rng,
+                                                          tokens=tokens)
     main_logits, token_logits = predict(consensus, class_states, params)
     return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits,
                        ad.sigmoid(main_logits))
@@ -405,24 +440,34 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a ``save_checkpoint`` file; a file of any other layout raises
-    ValueError naming it."""
+    """Read a ``save_checkpoint`` file; a file of any other layout, or a
+    header that lacks a field or whose config keys differ from
+    ``ModelConfig``'s, raises ValueError naming it."""
     bundle = np.load(path)
     if not isinstance(bundle, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     with bundle:
         meta = (json.loads(bundle["__meta__"].tobytes().decode("utf-8"))
                 if "__meta__" in bundle.files else {})
-        if meta.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        missing = [name for name in meta["names"] if f"param:{name}" not in bundle.files]
+        try:
+            names = list(meta["names"])
+            view_dims = [int(d) for d in meta["view_dims"]]
+            n_labels = int(meta["n_labels"])
+            keys = {f.name for f in fields(ModelConfig)}
+            if set(meta["config"]) != keys:
+                raise ValueError(f"config keys {sorted(meta['config'])} are not {sorted(keys)}")
+            config = ModelConfig(**meta["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path} has a malformed header: {type(exc).__name__}: {exc}") from exc
+        missing = [name for name in names if f"param:{name}" not in bundle.files]
         if missing:
             raise ValueError(f"{path} lists parameters it does not hold: {missing}")
-        config = ModelConfig(**meta["config"])
         tensors = {
             name: Tensor(bundle[f"param:{name}"].copy(), requires_grad=True)
-            for name in meta["names"]
+            for name in names
         }
-    return ModelParams(config, meta["view_dims"], meta["n_labels"], tensors)
+    return ModelParams(config, view_dims, n_labels, tensors)

@@ -282,12 +282,17 @@ def evaluate(params: ModelParams, dataset: MultiViewDataset,
 
     View availability is respected; labels are taken as full ground truth,
     so pass an uncorrupted split. Per-sample independence makes the batch
-    size irrelevant to the result.
+    size irrelevant to the result. Only the main head is ranked, so the
+    forward pass skips the class-token states (``tokens=False``).
     """
+    if params.n_labels != dataset.c:
+        raise DimensionMismatch(
+            f"the model predicts {params.n_labels} labels but the dataset has {dataset.c}")
     scores = np.empty((dataset.n, dataset.c))
     for start in range(0, dataset.n, batch_size):
         idx = np.arange(start, min(start + batch_size, dataset.n))
-        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params, train=False)
+        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params, train=False,
+                      tokens=False)
         scores[idx] = out.p_main.data
     if np.any(dataset.label_mask == 0):
         warnings.warn("evaluating against a dataset with masked labels; "

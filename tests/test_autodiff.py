@@ -149,14 +149,16 @@ def view_style_mask(rng, n, t):
 
 
 class TestAttention:
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("heads, queries", [(1, None), (2, None), (2, 1), (1, 2)],
+                             ids=["1", "2", "2-queries1", "1-queries2"])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_gradient_matches_finite_differences(self, heads, masked):
+    def test_gradient_matches_finite_differences(self, heads, queries, masked):
         rng = np.random.default_rng(22)
         qkv = rng.standard_normal((2, 3, 12))
         mask = view_style_mask(rng, 2, 3) if masked else None
-        weights = rng.standard_normal((2, 3, 4))
-        check_gradients(lambda ts: (ad.attention(ts[0], heads, mask)[0] * weights).sum(), [qkv])
+        weights = rng.standard_normal((2, queries or 3, 4))
+        check_gradients(
+            lambda ts: (ad.attention(ts[0], heads, mask, queries)[0] * weights).sum(), [qkv])
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("masked", [False, True])
@@ -208,6 +210,24 @@ class TestAttention:
         with pytest.raises(DimensionMismatch):
             ad.attention(ad.Tensor(np.zeros((2, 3, 8))), 2)
 
+    @pytest.mark.parametrize("queries", [1, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_queries_are_the_first_rows_of_full_attention(self, queries, masked):
+        rng = np.random.default_rng(29)
+        qkv = rng.standard_normal((3, 4, 24))
+        mask = view_style_mask(rng, 3, 4) if masked else None
+        full, full_probs = ad.attention(ad.Tensor(qkv), 2, mask)
+        mixed, probs = ad.attention(ad.Tensor(qkv), 2, mask, queries)
+        assert mixed.shape == (3, queries, 8) and probs.shape == (3, 2, queries, 4)
+        np.testing.assert_allclose(mixed.data, full.data[:, :queries], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.data, full_probs.data[:, :, :queries], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("queries", [0, 4])
+    def test_queries_out_of_range(self, queries):
+        with pytest.raises(DimensionMismatch, match="queries"):
+            ad.attention(ad.Tensor(np.zeros((2, 3, 6))), 1, queries=queries)
+
 
 class TestBceWithLogits:
     def test_gradient_matches_finite_differences(self):
@@ -235,6 +255,7 @@ class TestBceWithLogits:
 class TestFusedRecords:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case, records", [("linear", 1), ("attention", 1),
+                                               ("attention_queries", 1),
                                                ("bce_with_logits", 1)])
     def test_record_count_in_input_dtype(self, case, records, dtype):
         rng = np.random.default_rng(27)
@@ -246,6 +267,8 @@ class TestFusedRecords:
             "linear": ([tensor(2, 3, 4), tensor(4, 5), tensor(5)], lambda ts: ad.linear(*ts)),
             "attention": ([tensor(2, 3, 12)],
                           lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)))[0]),
+            "attention_queries": ([tensor(2, 3, 12)],
+                                  lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)), 1)[0]),
             "bce_with_logits": ([tensor(3, 4)],
                                 lambda ts: ad.bce_with_logits(ts[0], np.ones((3, 4)),
                                                               np.full((3, 4), 0.25))),

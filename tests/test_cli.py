@@ -18,7 +18,7 @@ import mvmlc
 from mvmlc import autodiff as ad
 from mvmlc import data
 from mvmlc.cli import DEFAULTS, _config, main, read_config_file
-from mvmlc.model import ModelConfig, load_checkpoint
+from mvmlc.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from mvmlc.trainer import TrainConfig
 
 
@@ -31,6 +31,25 @@ def run_cli(capsys, *argv):
 def synth_args(out, n=40, m=2, c=4, seed=3, dims="6,5"):
     return ["synth", "--n", str(n), "--m", str(m), "--c", str(c),
             "--dims", dims, "--seed", str(seed), "--out", str(out)]
+
+
+def _edited_checkpoint(path, edit):
+    """Write a real checkpoint to ``path`` with ``edit`` applied to its header."""
+    save_checkpoint(ModelParams.initialize(ModelConfig(d_e=8, heads=2), [6, 5], 4), path)
+    with np.load(path) as bundle:
+        arrays = {key: bundle[key] for key in bundle.files}
+    meta = json.loads(arrays.pop("__meta__").tobytes())
+    edit(meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def unknown_config_key(path, _array):
+    _edited_checkpoint(path, lambda meta: meta["config"].update(d_model=8))
+
+
+def without_names(path, _array):
+    _edited_checkpoint(path, lambda meta: meta.pop("names"))
 
 
 class TestSynth:
@@ -187,7 +206,9 @@ class TestTrainEval:
         assert code == 1 and out == "" and error in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("name, write", [("array.npy", np.save), ("no_meta.npz", np.savez)])
+    @pytest.mark.parametrize("name, write", [("array.npy", np.save), ("no_meta.npz", np.savez),
+                                             ("extra.ckpt", unknown_config_key),
+                                             ("nameless.ckpt", without_names)])
     def test_eval_of_a_malformed_checkpoint_exits_1(self, capsys, tmp_path, name, write):
         run_cli(capsys, *synth_args(tmp_path / "ds"))
         write(tmp_path / name, np.zeros(3))

@@ -4,6 +4,7 @@ The central property: content of unavailable views can never influence
 available views' states, the fused vector, or any prediction, bit-exactly.
 """
 
+import json
 import math
 
 import numpy as np
@@ -33,6 +34,16 @@ def random_inputs(rng, n, view_dims, missing=0.0):
         for v in range(m):
             views[v] = views[v] * w[:, v : v + 1]
     return views, w
+
+
+def write_with_meta(checkpoint, path, edit):
+    """Copy a checkpoint to ``path`` with ``edit`` applied to its parsed header."""
+    with np.load(checkpoint) as bundle:
+        arrays = {key: bundle[key] for key in bundle.files}
+    meta = json.loads(arrays.pop("__meta__").tobytes())
+    edit(meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 class TestModelConfig:
@@ -272,6 +283,15 @@ class TestClassTokenEncoder:
         for got, want in zip(grads(shared), grads(lambda: self._generic_layers(fused, params))):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("layers_c", [1, 2])
+    def test_consensus_only_matches_full_path(self, layers_c):
+        params = tiny_params(layers_c=layers_c)
+        fused = Tensor(np.random.default_rng(16).standard_normal((5, 8)))
+        full, _ = M.class_token_encoder_forward(fused, params)
+        consensus, states = M.class_token_encoder_forward(fused, params, tokens=False)
+        assert states is None
+        np.testing.assert_allclose(consensus.data, full.data, rtol=0, atol=1e-12)
+
     def test_tokens_specialize_per_sample(self):
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(12)
@@ -345,6 +365,11 @@ class TestEndToEnd:
         np.testing.assert_array_equal(base.fused.data, pert.fused.data)
         np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
         np.testing.assert_array_equal(base.token_logits.data, pert.token_logits.data)
+        # the consensus-only path that evaluation runs keeps the guarantee too
+        base = M.forward(views, w, params, tokens=False)
+        pert = M.forward(noisy, w, params, tokens=False)
+        assert base.token_logits is None and pert.token_logits is None
+        np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
 
     def test_gradients_reach_every_parameter_group(self):
         params = tiny_params(dropout=0.0)
@@ -385,6 +410,15 @@ class TestCheckpoint:
         with np.load(good) as bundle:
             arrays = {key: bundle[key] for key in bundle.files if key != "param:cls"}
         np.savez(tmp_path / "short.npz", **arrays)
-        for name in ("array.npy", "no_meta.npz", "short.npz"):
+        malformed = {
+            "unknown_key.npz": lambda meta: meta["config"].update(d_model=8),
+            "missing_key.npz": lambda meta: meta["config"].pop("d_e"),
+            "config_list.npz": lambda meta: meta.update(config=[8, 2]),
+            **{f"no_{key}.npz": lambda meta, key=key: meta.pop(key)
+               for key in ("names", "view_dims", "n_labels", "config")},
+        }
+        for name, edit in malformed.items():
+            write_with_meta(good, tmp_path / name, edit)
+        for name in ("array.npy", "no_meta.npz", "short.npz", *malformed):
             with pytest.raises(ValueError, match=name):
                 M.load_checkpoint(tmp_path / name)

@@ -298,6 +298,38 @@ class TestEvaluate:
                                             meta={"n": masked.n, "m": masked.m, "c": masked.c})
         assert report.to_dict()["ap"] == base.ap
 
+    def test_report_equals_full_forward_report(self, monkeypatch):
+        seen = []
+
+        def kept_forward(*args, **kwargs):
+            seen.append(M.forward(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(trainer_mod, "forward", kept_forward)
+        ds = small_dataset(n=50, m=3, seed=5)
+        masked = data.apply_masks(ds, view_mask=data.simulate_missing_views(50, 3, 0.4, seed=5))
+        for layers_c in (1, 2):
+            params = ModelParams.initialize(
+                ModelConfig(d_e=16, heads=2, layers_c=layers_c, dtype="float64"),
+                masked.view_dims, masked.c, seed=2)
+            full = M.forward(masked.views, masked.view_mask, params)
+            assert full.token_logits is not None
+            want = trainer_mod.compute_report(full.p_main.data, masked.labels).to_dict()
+            got = evaluate(params, masked, batch_size=16).to_dict()
+            for key in ("ap", "one_minus_rl", "auc"):
+                assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
+            assert (got["n_eval"], got["skipped"]) == (want["n_eval"], want["skipped"])
+        # evaluation ran the consensus-only path, not the full one
+        assert seen and all(out.class_states is None for out in seen)
+
+    @pytest.mark.parametrize("model_labels", [1, 6])
+    def test_label_count_mismatch_raises(self, model_labels):
+        ds = small_dataset(c=5)
+        params = ModelParams.initialize(ModelConfig(d_e=16, heads=2), ds.view_dims,
+                                        model_labels, seed=0)
+        with pytest.raises(DimensionMismatch, match=f"{model_labels} labels.* has 5"):
+            evaluate(params, ds)
+
     def test_diverged_parameters_raise(self):
         ds = small_dataset()
         params = ModelParams.initialize(ModelConfig(d_e=16, heads=2), ds.view_dims, ds.c, seed=0)
