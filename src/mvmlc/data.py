@@ -8,8 +8,8 @@ source of truth about what is observed.
 
 File format: a JSON manifest with keys ``views`` (ordered list of CSV paths),
 ``labels`` and optional ``view_mask`` / ``label_mask``. Matrix files are
-headerless comma-separated CSV, one sample per row; binary files must contain
-exactly 0 or 1.
+headerless comma-separated CSV, one sample per row; feature files must be
+finite and binary files must contain exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     InfeasibleRatio,
     MissingFile,
     NonBinary,
+    NonFiniteFeatures,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -81,6 +82,9 @@ class MultiViewDataset:
             raise DimensionMismatch(
                 f"label_mask shape {label_mask.shape} != labels shape {labels.shape}"
             )
+        for v, x in enumerate(views):
+            if not np.isfinite(x).all():
+                raise NonFiniteFeatures(f"view {v} has non-finite features (NaN or inf)")
         _check_binary(labels, "labels")
         _check_binary(view_mask, "view_mask")
         _check_binary(label_mask, "label_mask")
@@ -156,12 +160,19 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         raise MissingFile(str(path))
     manifest = json.loads(path.read_text())
     base = path.parent
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
 
     view_paths = manifest.get("views")
     if not view_paths:
         raise ValueError(f"manifest {path} lists no views")
+    if not isinstance(view_paths, list) or not all(isinstance(p, str) for p in view_paths):
+        raise ValueError(f"manifest {path}: views must be a list of file names")
     if "labels" not in manifest:
         raise ValueError(f"manifest {path} lists no labels file")
+    for key in ("labels", "view_mask", "label_mask"):
+        if not isinstance(manifest.get(key, ""), str):
+            raise ValueError(f"manifest {path}: {key} must be a file name")
 
     views = [_load_matrix(base / p) for p in view_paths]
     labels = _load_matrix(base / manifest["labels"])

@@ -21,6 +21,10 @@ class MissingFile(FileNotFoundError):
     """A manifest or referenced data file does not exist."""
 
 
+class NonFiniteFeatures(ValueError):
+    """A view's feature matrix contains NaN or an infinity."""
+
+
 class NonBinary(ValueError):
     """A matrix required to be 0/1-valued contains other values."""
 

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("penalty coefficients must be non-negative")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0 (0 disables periodic evaluation)")
 
 
 class AdamState:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlc import autodiff as ad
 from mvmlc.errors import (
@@ -339,6 +341,67 @@ class TestGelu:
         expected = 1.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         assert abs(ad.gelu(ad.Tensor(1.0)).item() - expected) < 1e-9
         assert abs(expected - 0.841345) < 1e-6
+
+
+def ulp_index(a):
+    """Float32 values as integers whose differences count ulps (+0 and -0 are 0)."""
+    i = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
+    return np.where(i < 0, -(i & 0x7FFFFFFF), i)
+
+
+def math_erf_f32(z):
+    return np.array([math.erf(v) for v in np.asarray(z, dtype=np.float64).tolist()],
+                    dtype=np.float64).astype(np.float32)
+
+
+class TestErfFloat32:
+    GRID = np.linspace(-8.0, 8.0, 1_000_001).astype(np.float32)
+
+    def test_within_8_ulp_of_math_erf(self):
+        got = ad._erf_float32(self.GRID)
+        assert got.dtype == np.float32
+        assert np.abs(ulp_index(got) - ulp_index(math_erf_f32(self.GRID))).max() <= 8
+        assert np.all(np.abs(got) <= 1.0)
+
+    def test_gelu_within_8_ulp_of_x(self):
+        # 1 + erf cancels for negative x, so the bound is in ulps of the input,
+        # which is also ulps of the output where gelu(x) ~ x.
+        x = self.GRID
+        got = ad.gelu(ad.Tensor(x)).data
+        assert got.dtype == np.float32
+        exact = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()])
+        assert np.all(np.abs(got - exact) <= 8 * np.spacing(np.abs(x)))
+
+    def test_special_values(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+        got = ad._erf_float32(z)
+        np.testing.assert_array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+        np.testing.assert_array_equal(np.signbit(got[:4]), [False, True, False, True])
+        assert np.isnan(got[4])
+        assert ad._erf_float32(np.float32(-np.inf)).shape == ()
+
+    def test_subnormal_and_saturated_inputs(self):
+        tiny = np.arange(1, 1 << 23, 4099, dtype=np.int32).view(np.float32)
+        big = np.array([4.0, 4.5, 10.0, 1e30, np.finfo(np.float32).max], dtype=np.float32)
+        for z in (tiny, -tiny, big, -big):
+            want = math_erf_f32(z)
+            assert np.abs(ulp_index(ad._erf_float32(z)) - ulp_index(want)).max() <= 1
+        np.testing.assert_array_equal(ad._erf_float32(big), 1.0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=32), min_size=2, max_size=64))
+    def test_odd_bounded_and_monotone(self, values):
+        z = np.sort(np.array(values, dtype=np.float32))
+        got = ad._erf_float32(z)
+        np.testing.assert_array_equal((-got).view(np.int32), ad._erf_float32(-z).view(np.int32))
+        assert np.all(np.abs(got) <= 1.0)
+        # Exact monotonicity needs near-correct rounding: on most of [0, 4]
+        # erf rises by less than an ulp per input step, so float32 rounding
+        # reverses some neighbours (by up to 11 ulp over all float32 inputs).
+        # Each value lies within 8 ulp of the monotone rounded erf, so no
+        # value falls more than 16 ulp below an earlier one.
+        idx = ulp_index(got)
+        assert np.all(np.maximum.accumulate(idx) - idx <= 16)
 
 
 class TestMaskedSoftmax:

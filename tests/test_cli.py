@@ -7,6 +7,7 @@ be asserted cheaply; one test uses a real subprocess to check wiring.
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -189,7 +190,7 @@ class TestTrainEval:
         _, out, _ = run_cli(capsys, *train_args(tmp_path / "ds", tmp_path / "run"))
         json.loads(out)  # raises if anything but one JSON document
 
-    @pytest.mark.parametrize("bad", [{"heads": 3}, {"epochs": 0}])
+    @pytest.mark.parametrize("bad", [{"heads": 3}, {"epochs": 0}, {"eval_every": -3}])
     def test_bad_options_fail_before_writing(self, capsys, tmp_path, bad):
         run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
         code, out, err = run_cli(capsys, *train_args(tmp_path / "ds", tmp_path / "run", **bad))
@@ -199,9 +200,16 @@ class TestTrainEval:
     @pytest.mark.parametrize("data_dir, bad, error", [
         ("nope", {}, "MissingFile"),
         ("ds", {"train_ratio": 1.5}, "DegenerateSplit"),
+        ("nan_ds", {}, "NonFiniteFeatures"),
     ])
     def test_bad_data_fails_before_writing(self, capsys, tmp_path, data_dir, bad, error):
         run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
+        if data_dir == "nan_ds":
+            shutil.copytree(tmp_path / "ds", tmp_path / data_dir)
+            view = tmp_path / data_dir / "view_1.csv"
+            rows = view.read_text().splitlines()
+            rows[0] = ",".join(["nan"] + rows[0].split(",")[1:])
+            view.write_text("\n".join(rows) + "\n")
         code, out, err = run_cli(capsys, *train_args(tmp_path / data_dir, tmp_path / "run", **bad))
         assert code == 1 and out == "" and error in err
         assert not (tmp_path / "run").exists()
@@ -317,3 +325,23 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["n"] == 20
+
+    def test_float32_train_and_eval_never_import_scipy(self, tmp_path):
+        # scipy's erf serves float64 only; float32 gelu runs on a numpy kernel
+        script = """
+import sys
+import numpy as np
+from mvmlc import data, trainer
+from mvmlc.model import ModelConfig
+ds = data.make_synthetic(40, 2, 4, 3, [6, 5], seed=0)
+params, _ = trainer.train(ModelConfig(d_e=8, heads=2), trainer.TrainConfig(epochs=1, batch_size=16), ds)
+assert params["cls"].data.dtype == np.float32
+trainer.evaluate(params, ds)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        src = str(Path(mvmlc.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from mvmlc.errors import (
     InfeasibleRatio,
     MissingFile,
     NonBinary,
+    NonFiniteFeatures,
 )
 
 
@@ -67,6 +68,27 @@ class TestLoadDataset:
     def test_non_binary_labels(self, basic_dir):
         write_csv(basic_dir / "y.csv", [[1, 0, 2, 0, 0], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0]])
         with pytest.raises(NonBinary):
+            data.load_dataset(basic_dir)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_features(self, basic_dir, value):
+        rows = (np.arange(12.0).reshape(3, 4) + 1).tolist()
+        rows[2][1] = value
+        write_csv(basic_dir / "v1.csv", rows)
+        with pytest.raises(NonFiniteFeatures, match="view 1"):
+            data.load_dataset(basic_dir)
+
+    @pytest.mark.parametrize("manifest", [
+        [],
+        "v0.csv",
+        {"views": "v0.csv", "labels": "y.csv"},
+        {"views": ["v0.csv", 1], "labels": "y.csv"},
+        {"views": ["v0.csv"], "labels": ["y.csv"]},
+        {"views": ["v0.csv"], "labels": "y.csv", "view_mask": 0},
+    ])
+    def test_malformed_manifest_names_the_file(self, basic_dir, manifest):
+        write_manifest(basic_dir, manifest)
+        with pytest.raises(ValueError, match="manifest.json"):
             data.load_dataset(basic_dir)
 
     def test_masked_features_zero_filled_with_warning(self, basic_dir):
