@@ -659,17 +659,17 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
     ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
     along the last axis. Each is split into ``heads`` heads of width
     d_h = d / heads. The scores ``q @ k^T / sqrt(d_h)`` of every head go
-    through ``softmax``, or ``masked_softmax`` when ``mask`` (n, t, t) is
-    given, to weights over the key axis, which mix the values; the heads
-    are then merged. Returns ``(mixed, probs)``: the merged head outputs
-    (n, r, d), recorded on the tape, and the attention weights
-    (n, heads, r, t) as a constant Tensor, which gets no gradient.
+    through ``softmax``, or ``masked_softmax`` when ``mask`` is given
+    ((n, t, t), or an (n, 1, t) key mask), to weights over the key axis,
+    which mix the values; the heads are then merged. Returns ``(mixed,
+    probs)``: the merged head outputs (n, r, d), recorded on the tape, and
+    the attention weights (n, heads, r, t) as a constant, gradient-free Tensor.
 
     r is t unless ``queries`` is an int in [1, t]: then only the first r
     tokens act as queries, every token still serves as a key and a value,
-    only the first r rows of ``mask`` are read, and the other query slots
-    of ``qkv`` get zero gradient. Each output row depends on its own query
-    only, so the result is the first r rows of full attention.
+    only the first r rows of an (n, t, t) ``mask`` are read, and the other
+    query slots of ``qkv`` get zero gradient. Each output row depends on its
+    own query only, so the result is the first r rows of full attention.
 
     The head split and merge are views and reshapes, and the softmax runs
     on a plain array, so none of them records anything. The backward pass

@@ -41,6 +41,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _zero_fill(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return np.where(mask == 0, 0.0, x)
+
+
 def _check_binary(arr: np.ndarray, name: str):
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise NonBinary(f"{name} contains values outside {{0, 1}}")
@@ -135,8 +139,8 @@ def apply_masks(
     """
     w = ds.view_mask if view_mask is None else ds.view_mask * np.asarray(view_mask, dtype=np.float64)
     g = ds.label_mask if label_mask is None else ds.label_mask * np.asarray(label_mask, dtype=np.float64)
-    views = [x * w[:, v : v + 1] for v, x in enumerate(ds.views)]
-    labels = ds.labels * g
+    views = [_zero_fill(x, w[:, v : v + 1]) for v, x in enumerate(ds.views)]
+    labels = _zero_fill(ds.labels, g)
     return MultiViewDataset(views=views, labels=labels, view_mask=w, label_mask=g)
 
 
@@ -194,10 +198,10 @@ def load_dataset(manifest_path) -> MultiViewDataset:
             masked = view_mask[:, v] == 0
             if views[v].shape[0] == n and np.any(views[v][masked] != 0.0):
                 warnings.warn(f"view {v}: zero-filling features of masked rows")
-                views[v] = views[v] * view_mask[:, v : v + 1]
+                views[v] = _zero_fill(views[v], view_mask[:, v : v + 1])
     if label_mask.shape == labels.shape and np.any(labels[label_mask == 0.0] != 0.0):
         warnings.warn("zero-filling labels at masked entries")
-        labels = labels * label_mask
+        labels = _zero_fill(labels, label_mask)
 
     return MultiViewDataset(views=views, labels=labels, view_mask=view_mask, label_mask=label_mask)
 

@@ -17,8 +17,9 @@ per-class token heads do not run.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
-vector, or any prediction. Masked attention weights underflow to exactly 0,
-so the guarantee is bit-exact, not approximate.
+vector, or any prediction. Missing views are masked as attention keys, whose
+weights underflow to exactly 0, so the guarantee is bit-exact. A missing
+view's own row is computed but never read, and gets exactly zero gradient.
 
 Encoder blocks use pre-layer-norm residual wiring. Every MLP block is
 linear -> GELU -> dropout -> linear -> dropout with hidden width equal to
@@ -35,8 +36,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionMismatch, EmptyRowMask
-
-LAYER_NORM_EPS = 1e-5
 
 CHECKPOINT_FORMAT = "mvmlc-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -218,17 +217,12 @@ def embed_views(views, params: ModelParams, train: bool = False, rng=None) -> Te
 
 
 def attention_mask(view_mask: np.ndarray) -> np.ndarray:
-    """Pairwise availability mask (n, m, m): outer product of each sample's
-    availability row. Rows belonging to missing views would be entirely
-    masked (nothing to attend to), so their diagonal is re-enabled; their
-    output is self-content only and is never read downstream."""
+    """Key mask (n, 1, m): each sample's availability row, shared by all its
+    query rows, so no view attends to a missing one."""
     w = np.asarray(view_mask)
     if np.any(w.sum(axis=-1) == 0):
         raise EmptyRowMask("a sample has no available view")
-    mask = w[:, :, None] * w[:, None, :]
-    rows, cols = np.nonzero(w == 0)
-    mask[rows, cols, cols] = 1.0
-    return mask
+    return w[:, None, :]
 
 
 def _qkv_weight(params: ModelParams, prefix: str) -> Tensor:
@@ -240,7 +234,7 @@ def _qkv_weight(params: ModelParams, prefix: str) -> Tensor:
 def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str, queries=None):
     """Multi-head scaled dot-product attention over the token axis.
 
-    x: (n, t, d_e); mask: (n, t, t) binary or None for unmasked attention.
+    x: (n, t, d_e); mask: binary (n, t, t), an (n, 1, t) key mask, or None.
     Returns (mixed, probs) where mixed is the concatenated head outputs
     (n, r, d_e) before the output projection and probs is the constant
     (n, h, r, t) attention weights. r is t, or ``queries`` when only the
@@ -260,8 +254,7 @@ def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str,
     """One pre-norm encoder layer; it returns only the first ``queries``
     tokens when that is an int, since every token's output depends on its
     own query alone."""
-    normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"],
-                           eps=LAYER_NORM_EPS)
+    normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
     mixed, _ = masked_attention(normed, mask, params, prefix, queries)
     return _encoder_tail(_query_rows(x, queries), mixed, params, prefix, train, rng)
 
@@ -272,8 +265,7 @@ def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str,
     cfg = params.config
     attended = ad.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     x = x + ad.dropout(attended, cfg.dropout, rng=rng, train=train)
-    normed = ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"],
-                           eps=LAYER_NORM_EPS)
+    normed = ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])
     return x + _mlp_block(normed, params, f"{prefix}.mlp_", train, rng)
 
 
@@ -301,7 +293,7 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
     if queries != 1:
         tokens = ad.concat([tokens, ad.broadcast_to(cls, (n, c, d))], axis=1)
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
-                           params[f"{prefix}.ln1_b"], eps=LAYER_NORM_EPS)
+                           params[f"{prefix}.ln1_b"])
     proj = ad.linear(normed, _qkv_weight(params, prefix))
     qkv = ad.concat([proj[:n].reshape((n, 1, 3 * d)), ad.broadcast_to(proj[n:], (n, c, 3 * d))],
                     axis=1)
@@ -311,7 +303,10 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
 
 def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams,
                          train: bool = False, rng=None) -> Tensor:
-    """Run all masked encoder layers over the (n, m, d_e) view embeddings."""
+    """Run all masked encoder layers over the (n, m, d_e) view embeddings;
+    ``view_mask`` is their (n, m) availability (see ``attention_mask``)."""
+    if np.shape(view_mask) != embedded.shape[:2]:
+        raise DimensionMismatch(f"view_mask is {np.shape(view_mask)}, not {embedded.shape[:2]}")
     mask = attention_mask(view_mask)
     x = embedded
     for layer in range(params.config.layers_v):

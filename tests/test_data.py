@@ -100,6 +100,12 @@ class TestLoadDataset:
             ds = data.load_dataset(basic_dir)
         np.testing.assert_array_equal(ds.views[0][1], 0.0)
         assert np.all(ds.views[0][[0, 2]] != 0.0)
+        # a masked row is zero-filled whatever it holds, non-finite values too
+        for value in ("nan", "inf"):
+            write_csv(basic_dir / "v0.csv", [[1, 2], [value, value], [5, 6]])
+            with pytest.warns(UserWarning, match="zero-filling"):
+                ds = data.load_dataset(basic_dir)
+            np.testing.assert_array_equal(ds.views[0], [[1, 2], [0, 0], [5, 6]])
 
     def test_save_load_round_trip(self, tmp_path):
         ds = data.make_synthetic(20, 2, 4, 3, [5, 6], noise=0.2, seed=1)

@@ -14,6 +14,8 @@ from mvmlc import autodiff as ad
 from mvmlc import model as M
 from mvmlc.autodiff import Tensor
 from mvmlc.errors import DimensionMismatch, EmptyRowMask
+from mvmlc.losses import label_similarity
+from mvmlc.trainer import objective
 
 
 def tiny_params(d_e=8, heads=2, layers_v=1, layers_c=1, view_dims=(3, 4, 2),
@@ -130,6 +132,15 @@ class TestMaskedSelfAttention:
         params = tiny_params()
         with pytest.raises(EmptyRowMask):
             M.view_encoder_forward(Tensor(np.zeros((1, 3, 8))), np.zeros((1, 3)), params)
+
+    def test_view_mask_of_wrong_shape(self):
+        params = tiny_params()
+        rng = np.random.default_rng(6)
+        views, w = random_inputs(rng, 8, params.view_dims)
+        for bad in (w[:1], w[:, :2], w.T, w[None]):
+            with pytest.raises(DimensionMismatch) as info:
+                M.forward(views, bad, params)
+            assert str(bad.shape) in str(info.value) and "(8, 3)" in str(info.value)
 
 
 class TestViewEncoder:
@@ -352,24 +363,52 @@ class TestEndToEnd:
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
+    @staticmethod
+    def _objective_and_grads(views, w, labels, label_mask, params):
+        """The training objective (alpha 10, beta 0.1) on the tape, with the
+        forward pass and every parameter gradient."""
+        params.zero_grads()
+        with ad.Tape() as tape:
+            out = M.forward(views, w, params)
+            loss = objective(out, labels, label_mask, w, *label_similarity(labels, label_mask),
+                             alpha=10.0, beta=0.1)[0]
+            tape.backward(loss)
+        return loss.data, out, {name: p.grad.copy() for name, p in params.items()}
+
     def test_end_to_end_missing_view_invariance(self):
-        rng = np.random.default_rng(17)
-        params = tiny_params(layers_v=2, layers_c=2, dropout=0.0, seed=99)
-        views, w = random_inputs(rng, 5, params.view_dims, missing=0.5)
-        noisy = [v.copy() for v in views]
-        for v in range(3):
-            gone = w[:, v] == 0
-            noisy[v][gone] = rng.standard_normal((int(gone.sum()), views[v].shape[1])) * 1e3
-        base = M.forward(views, w, params)
-        pert = M.forward(noisy, w, params)
-        np.testing.assert_array_equal(base.fused.data, pert.fused.data)
-        np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
-        np.testing.assert_array_equal(base.token_logits.data, pert.token_logits.data)
-        # the consensus-only path that evaluation runs keeps the guarantee too
-        base = M.forward(views, w, params, tokens=False)
-        pert = M.forward(noisy, w, params, tokens=False)
-        assert base.token_logits is None and pert.token_logits is None
-        np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
+        for dtype in ("float64", "float32"):
+            rng = np.random.default_rng(17)
+            params = tiny_params(layers_v=2, layers_c=2, dropout=0.0, seed=99, dtype=dtype)
+            views, w = random_inputs(rng, 5, params.view_dims, missing=0.5)
+            noisy = [v.copy() for v in views]
+            for v in range(3):
+                gone = w[:, v] == 0
+                noisy[v][gone] = rng.standard_normal((int(gone.sum()), views[v].shape[1])) * 1e3
+            base = M.forward(views, w, params)
+            pert = M.forward(noisy, w, params)
+            np.testing.assert_array_equal(base.fused.data, pert.fused.data)
+            np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
+            np.testing.assert_array_equal(base.token_logits.data, pert.token_logits.data)
+            # the consensus-only path that evaluation runs keeps the guarantee too
+            base = M.forward(views, w, params, tokens=False)
+            pert = M.forward(noisy, w, params, tokens=False)
+            assert base.token_logits is None and pert.token_logits is None
+            np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
+            # so does training: the loss and every gradient, and a missing
+            # view's own encoder row, which attends to its sample's available
+            # views, gets exactly zero gradient
+            labels = (rng.random((5, params.n_labels)) < 0.4).astype(float)
+            label_mask = (rng.random((5, params.n_labels)) < 0.7).astype(float)
+            labels *= label_mask
+            loss, out, grads = self._objective_and_grads(views, w, labels, label_mask, params)
+            loss_n, out_n, grads_n = self._objective_and_grads(noisy, w, labels, label_mask,
+                                                               params)
+            np.testing.assert_array_equal(loss, loss_n)
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], grads_n[name], err_msg=name)
+            for o in (out, out_n):
+                np.testing.assert_array_equal(o.view_states.grad[w == 0], 0.0)
+                assert np.any(o.view_states.grad[w == 1] != 0)
 
     def test_gradients_reach_every_parameter_group(self):
         params = tiny_params(dropout=0.0)
