@@ -37,6 +37,12 @@ entry each, with a hand-written backward:
 - ``bce_with_logits(logits, targets, weights)``: binary cross-entropy in
   logit space, which keeps a gradient where a float32 sigmoid saturates.
 
+Dropout masks come from 32-bit draws: ``dropout`` compares the halves of
+the generator's raw 64-bit words against a 32-bit threshold, two mask
+elements per word, instead of drawing a float64 uniform per element. A seeded
+generator gives the same masks on every run; the stream is not the one
+``rng.random(shape) < keep`` would give.
+
 The error function inside ``gelu`` is numpy only for float32: a rational
 approximation evaluated in float32 (``_erf_float32``), within 8 ulp of the
 correctly rounded erf. Float64, the dtype that gradients are verified in,
@@ -533,21 +539,25 @@ _ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.682826974382
 _ERF_BLOCK = 16384
 
 
-def _erf_float32(z: np.ndarray) -> np.ndarray:
-    """erf of a float32 array in float32, within 8 ulp of the rounded erf.
+def _erf_float32(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """erf(scale * z) of a float32 array in float32, within 8 ulp of the
+    rounded erf of the float32 product.
 
     Exactly odd, exact at +-0 and +-inf (+-1), NaN in NaN out. Dividing
     P by Q before multiplying by z keeps subnormal inputs within 1 ulp. In
     float32 the rational exceeds 1 by up to 2 ulp on [3.6, 4), so the result
-    is clipped to [-1, 1].
+    is clipped to [-1, 1]. The product is rounded to float32 block by block,
+    exactly as a whole-array ``z * scale`` would be, without building one.
     """
     flat = np.ascontiguousarray(z, dtype=np.float32).reshape(-1)
+    scale = np.float32(scale)
     out = np.empty_like(flat)
     scratch = [np.empty(min(flat.size, _ERF_BLOCK), dtype=np.float32) for _ in range(3)]
     for start in range(0, flat.size, _ERF_BLOCK):
         p = out[start : start + _ERF_BLOCK]
         zc, z2, q = (buf[: p.size] for buf in scratch)
-        np.clip(flat[start : start + p.size], -4.0, 4.0, out=zc)
+        np.multiply(flat[start : start + p.size], scale, out=zc)
+        np.clip(zc, -4.0, 4.0, out=zc)
         np.multiply(zc, zc, out=z2)
         _horner(_ERF_P, z2, p)
         p /= _horner(_ERF_Q, z2, q)
@@ -576,19 +586,26 @@ def gelu(a) -> Tensor:
     """
     a = _as_tensor(a)
     x = a.data
-    z = x * _INV_SQRT2
     if x.dtype == np.float32:
-        cdf = _erf_float32(z)
+        cdf = _erf_float32(x, _INV_SQRT2)
     else:
         from scipy.special import erf
 
-        cdf = erf(z)
+        cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+        erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
+        grad = np.multiply(x, -0.5, out=np.empty_like(x))
+        grad *= x
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT_2PI
+        grad *= x
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return _make(x * cdf, (a,), backward)
 
@@ -614,15 +631,20 @@ def clamp_min(a, lo: float) -> Tensor:
 
 
 def _softmax_last_axis(filled: np.ndarray) -> np.ndarray:
-    z = filled - filled.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = filled - filled.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of the logits of softmax weights ``p`` whose gradient is ``g``."""
-    dot = (g * p).sum(axis=-1, keepdims=True)
-    return (g - dot) * p
+    """Gradient ``(g - sum(g * p)) * p`` of the logits of softmax weights
+    ``p`` whose gradient is ``g``, in one new buffer."""
+    grad = g * p
+    dot = grad.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=grad)
+    grad *= p
+    return grad
 
 
 def softmax(a) -> Tensor:
@@ -705,13 +727,16 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
 
     def backward(g):
         g_heads = g.reshape(n, r, heads, d_h).transpose(0, 2, 1, 3)
-        g_v = _swap_last(p) @ g_heads
-        g_scores = _softmax_backward(p, g_heads @ _swap_last(v)) * scale
-        g_q = g_scores @ k
-        if queries is not None:
-            g_q = np.concatenate((g_q, np.zeros((n, heads, t - r, d_h), g_q.dtype)), axis=2)
-        g_qkv = np.stack((g_q, _swap_last(g_scores) @ q, g_v))
-        return (g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, t, d3),)
+        g_qkv = np.empty((n, t, 3, heads, d_h), dtype=qkv.data.dtype)
+        # the products land in (n, heads, t, d_h) views of the packed gradient
+        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(_swap_last(p), g_heads, out=g_v)
+        g_scores = _softmax_backward(p, g_heads @ _swap_last(v))
+        g_scores *= scale
+        np.matmul(g_scores, k, out=g_q[:, :, :r])
+        g_q[:, :, r:] = 0.0
+        np.matmul(_swap_last(g_scores), q, out=g_k)
+        return (g_qkv.reshape(n, t, d3),)
 
     mixed = (p @ v).transpose(0, 2, 1, 3).reshape(n, r, d)
     return _make(mixed, (qkv,), backward), probs
@@ -746,30 +771,40 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if eps <= 0:
         raise ValueError("eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    x_hat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # row sums of squares as (1, d) @ (d, 1) products: no squared temporary
+    var = (x_hat[..., None, :] @ x_hat[..., :, None])[..., 0]
+    var /= x.data.shape[-1]
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * gain.data + bias.data
+    x_hat *= inv_std
+    out_data = x_hat * gain.data
+    out_data += bias.data
 
     def backward(g):
-        g_gain = _unbroadcast(g * x_hat, gain.data.shape)
-        g_bias = _unbroadcast(g, bias.data.shape)
-        g_hat = g * gain.data
-        g_x = inv_std * (
-            g_hat
-            - g_hat.mean(axis=-1, keepdims=True)
-            - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
-        )
-        return g_x, g_gain, g_bias
+        # inv_std * (g_x - mean(g_x) - x_hat * mean(g_x * x_hat)), g_x = g * gain
+        g_x = g * gain.data
+        work = g_x * x_hat
+        proj = work.mean(axis=-1, keepdims=True)
+        g_x -= g_x.mean(axis=-1, keepdims=True)
+        g_x -= np.multiply(x_hat, proj, out=work)
+        g_x *= inv_std
+        g_gain = _unbroadcast(np.multiply(g, x_hat, out=work), gain.data.shape)
+        return g_x, g_gain, _unbroadcast(g, bias.data.shape)
 
     return _make(out_data, (x, gain, bias), backward)
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale kept values by
-    1/(1-rate) so the expected output equals the input. Identity in eval mode."""
+    1/(1-rate) so the expected output equals the input. Identity in eval mode.
+
+    The mask comes from 32-bit draws: the k = x.size elements take the
+    32-bit halves of ``(k + 1) // 2`` raw 64-bit words of ``rng``'s bit
+    generator (low half first on a little-endian host), and an element is
+    kept where its half is below ``min(round(keep * 2**32), 2**32 - 1)``. So
+    the keep probability is exact to 2**-32, and a seeded generator gives
+    the same mask on every run. The backward pass reuses the boolean mask.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)
@@ -778,12 +813,21 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None, train: bool 
     if rng is None:
         raise ValueError("train-mode dropout needs a random generator")
     keep = 1.0 - rate
-    scale = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
+    threshold = np.uint32(min(round(keep * 2**32), 2**32 - 1))
+    k = x.data.size
+    words = rng.bit_generator.random_raw((k + 1) // 2).view(np.uint32)[:k]
+    mask = (words < threshold).reshape(x.data.shape)
+    dtype = x.data.dtype.type
+    inv_keep = dtype(1.0) / dtype(keep)
 
     def backward(g):
-        return (g * scale,)
+        grad = np.multiply(g, mask)
+        grad *= inv_keep
+        return (grad,)
 
-    return _make(x.data * scale, (x,), backward)
+    out = np.multiply(x.data, mask)
+    out *= inv_keep
+    return _make(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,17 @@ class MultiViewDataset:
         return [x.shape[1] for x in self.views]
 
     def take(self, indices) -> "MultiViewDataset":
-        """New dataset holding the given rows; masks travel with their rows."""
+        """New dataset holding the given rows; masks travel with their rows.
+
+        Indexing with an integer array already copies, so each array is
+        copied once.
+        """
         idx = np.asarray(indices, dtype=int)
         return MultiViewDataset(
-            views=[x[idx].copy() for x in self.views],
-            labels=self.labels[idx].copy(),
-            view_mask=self.view_mask[idx].copy(),
-            label_mask=self.label_mask[idx].copy(),
+            views=[x[idx] for x in self.views],
+            labels=self.labels[idx],
+            view_mask=self.view_mask[idx],
+            label_mask=self.label_mask[idx],
         )
 
 
@@ -253,16 +257,20 @@ def simulate_missing_views(n: int, m: int, ratio: float, seed: int) -> np.ndarra
         drop = rng.choice(n, size=zeros_per_view, replace=False)
         w[drop, v] = 0.0
 
-    for i in np.flatnonzero(w.sum(axis=1) == 0):
+    # a repair changes two rows, so their sums are updated, not recomputed
+    row_sums = w.sum(axis=1)
+    for i in np.flatnonzero(row_sums == 0):
         v = int(rng.integers(m))
         w[i, v] = 1.0
+        row_sums[i] += 1.0
         available = w[:, v] == 1.0
         available[i] = False
-        row_sums = w.sum(axis=1)
         donors = np.flatnonzero(available & (row_sums >= 2))
         if donors.size:
             best = donors[row_sums[donors] == row_sums[donors].max()]
-            w[rng.choice(best), v] = 0.0
+            donor = rng.choice(best)
+            w[donor, v] = 0.0
+            row_sums[donor] -= 1.0
     return w
 
 

@@ -320,7 +320,10 @@ def adaptive_fusion(states: Tensor, view_mask, weights: Tensor, gamma: float) ->
     Each available view v gets weight exp(weights[v]**gamma), renormalized
     over that sample's available views; missing views get weight 0. The
     weight vector is learnable and receives gradient through the fusion.
+    ``view_mask`` must be the states' (n, m).
     """
+    if np.shape(view_mask) != states.shape[:2]:
+        raise DimensionMismatch(f"view_mask is {np.shape(view_mask)}, not {states.shape[:2]}")
     w = np.asarray(view_mask, dtype=states.dtype)
     if np.any(w.sum(axis=-1) == 0):
         raise EmptyRowMask("a sample has no available view to fuse")

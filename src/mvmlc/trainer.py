@@ -2,7 +2,11 @@
 
 Everything is seeded through one master seed (parameter init, epoch
 shuffling, dropout draws), so a (seed, config, data) triple reproduces
-bit-identical parameters, history, and reports within a precision mode.
+bit-identical parameters, history, and reports within a precision mode and
+a BLAS thread count. The thread count matters because OpenBLAS splits a
+GEMM's sums differently across threads: the same run with
+``OPENBLAS_NUM_THREADS=1`` and with 2 can end on losses that differ in the
+last digits.
 
 Label similarity constants are computed per batch, over the batch's rows
 only. Every step computes all three loss terms of ``objective`` on the tape,

@@ -1,11 +1,18 @@
-"""Independent brute-force oracles for the ranking metrics.
+"""Independent brute-force oracles for the ranking metrics, and a reference
+missing-view simulator.
 
-These enumerate every pair explicitly and share no code with the rank-based
-implementations under test. Each returns None when every sample/label is
-degenerate for its metric.
+The metric oracles enumerate every pair explicitly and share no code with
+the rank-based implementations under test. Each returns None when every
+sample/label is degenerate for its metric.
+
+``oracle_simulate_missing_views`` is the straightforward form of
+``data.simulate_missing_views``: it re-sums the whole mask after every
+repair, where the library updates the two row sums a repair changes.
 """
 
 import numpy as np
+
+from mvmlc.errors import InfeasibleRatio
 
 
 def oracle_average_precision(scores, labels):
@@ -72,3 +79,28 @@ def oracle_macro_auc(scores, labels):
     if not values:
         return None
     return float(np.mean(values))
+
+
+def oracle_simulate_missing_views(n, m, ratio, seed):
+    if not 0.0 <= ratio < 1.0:
+        raise InfeasibleRatio(f"ratio must be in [0, 1), got {ratio}")
+    zeros_per_view = round(ratio * n)
+    if zeros_per_view * m > n * (m - 1):
+        raise InfeasibleRatio(f"ratio {ratio} is infeasible for m={m}")
+    rng = np.random.default_rng(seed)
+    w = np.ones((n, m))
+    for v in range(m):
+        drop = rng.choice(n, size=zeros_per_view, replace=False)
+        w[drop, v] = 0.0
+
+    for i in np.flatnonzero(w.sum(axis=1) == 0):
+        v = int(rng.integers(m))
+        w[i, v] = 1.0
+        available = w[:, v] == 1.0
+        available[i] = False
+        row_sums = w.sum(axis=1)
+        donors = np.flatnonzero(available & (row_sums >= 2))
+        if donors.size:
+            best = donors[row_sums[donors] == row_sums[donors].max()]
+            w[rng.choice(best), v] = 0.0
+    return w

@@ -343,6 +343,46 @@ class TestGelu:
         assert abs(expected - 0.841345) < 1e-6
 
 
+def gelu_formula(x, g):
+    """GELU and its gradient written as whole-array expressions."""
+    if x.dtype == np.float32:
+        cdf = ad._erf_float32(x * ad._INV_SQRT2)
+    else:
+        from scipy.special import erf
+
+        cdf = erf(x * ad._INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    pdf = np.exp(-0.5 * x * x) * ad._INV_SQRT_2PI
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def softmax_formula(x, g):
+    """Softmax over the last axis and its gradient as whole-array expressions."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return p, (g - dot) * p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (4, 3, 32), (2, 21, 128), (3, 40_000)])
+@pytest.mark.parametrize("op, formula", [(ad.gelu, gelu_formula),
+                                         (ad.softmax, softmax_formula)])
+def test_in_place_kernels_bit_equal_formulas(op, formula, shape, dtype):
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    t = ad.Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        out = op(t)
+        tape.backward((out * ad.Tensor(g)).sum())
+    want_out, want_grad = formula(x, g)
+    for got, want in ((out.data, want_out), (t.grad, want_grad)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 def ulp_index(a):
     """Float32 values as integers whose differences count ulps (+0 and -0 are 0)."""
     i = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
@@ -457,6 +497,15 @@ class TestMaskedSoftmax:
 rng_weights = np.random.default_rng(9).standard_normal((3, 3))
 
 
+def layer_norm_with_grads(x, gain, bias, g):
+    """layer_norm's output and its (x, gain, bias) gradients for output gradient g."""
+    ts = [ad.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    with ad.Tape() as tape:
+        out = ad.layer_norm(*ts)
+        tape.backward((out * ad.Tensor(g)).sum())
+    return [out.data] + [t.grad for t in ts]
+
+
 class TestLayerNorm:
     def _unit(self, d):
         return ad.Tensor(np.ones(d)), ad.Tensor(np.zeros(d))
@@ -486,6 +535,20 @@ class TestLayerNorm:
             [x, gain, bias],
             tol=1e-4,
         )
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 1), (3, 1), (4, 3, 32), (2, 21, 128), (6, 2000)])
+    def test_float32_matches_float64_reference(self, shape):
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal(shape) * 3.0 + 1.0).astype(np.float32)
+        gain = rng.standard_normal(shape[-1]).astype(np.float32)
+        bias = rng.standard_normal(shape[-1]).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        got = layer_norm_with_grads(x, gain, bias, g)
+        want = layer_norm_with_grads(*(a.astype(np.float64) for a in (x, gain, bias, g)))
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            # relative to each array's scale: x_hat has unit variance
+            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6 * max(np.abs(b).max(), 1.0))
 
 
 class TestBackward:
@@ -609,6 +672,63 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             ad.dropout(ad.Tensor(np.ones(2)), 1.0, train=True)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_kept_fraction_is_binomial(self, rate):
+        k = 200_001
+        out = ad.dropout(ad.Tensor(np.ones(k, dtype=np.float32)), rate,
+                         rng=np.random.default_rng(20), train=True)
+        keep = 1.0 - rate
+        kept = int(np.count_nonzero(out.data))
+        assert abs(kept - k * keep) < 5.0 * math.sqrt(k * keep * rate)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (5, 7), (3, 1, 5)])
+    def test_odd_and_zero_d_shapes(self, shape):
+        x = ad.Tensor(np.full(shape, 2.0, dtype=np.float32), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.dropout(x, 0.5, rng=np.random.default_rng(21), train=True)
+            tape.backward(out.sum())
+        assert out.shape == shape and out.dtype == np.float32
+        assert np.all((out.data == 0.0) | (out.data == 4.0))
+        np.testing.assert_array_equal(x.grad, out.data / 2.0)
+
+    def test_float64_stays_float64(self):
+        out = ad.dropout(ad.Tensor(np.ones((4, 5))), 0.3, rng=np.random.default_rng(22),
+                         train=True)
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_mask_times_inverse_keep(self, dtype):
+        rate = 0.3
+        x = ad.Tensor(np.random.default_rng(23).standard_normal((6, 50)).astype(dtype),
+                      requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.dropout(x, rate, rng=np.random.default_rng(24), train=True)
+            tape.backward(out.sum())
+        # replay the same draws to recover the mask
+        replay = ad.dropout(ad.Tensor(np.ones_like(x.data)), rate,
+                            rng=np.random.default_rng(24), train=True).data
+        mask = replay != 0
+        inv_keep = dtype(1.0) / dtype(1.0 - rate)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, mask * inv_keep)
+        np.testing.assert_array_equal(out.data, x.data * (mask * inv_keep))
+
+    def test_same_seed_same_mask(self):
+        x = ad.Tensor(np.ones((9, 13), dtype=np.float32))
+        a = ad.dropout(x, 0.4, rng=np.random.default_rng(25), train=True).data
+        b = ad.dropout(x, 0.4, rng=np.random.default_rng(25), train=True).data
+        c = ad.dropout(x, 0.4, rng=np.random.default_rng(26), train=True).data
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_tiny_rate_does_not_overflow_threshold(self):
+        # round(keep * 2**32) is 2**32 here, one past the largest uint32
+        rate = 2.0**-34
+        assert round((1.0 - rate) * 2**32) == 2**32
+        x = ad.Tensor(np.ones(10_000))
+        out = ad.dropout(x, rate, rng=np.random.default_rng(27), train=True)
+        np.testing.assert_array_equal(out.data, 1.0 / (1.0 - rate))
 
 
 class TestGradientCheck:

@@ -16,6 +16,7 @@ from mvmlc.errors import (
     NonBinary,
     NonFiniteFeatures,
 )
+from oracles import oracle_simulate_missing_views
 
 
 def write_csv(path, rows):
@@ -139,6 +140,21 @@ class TestSimulateMissingViews:
         with pytest.raises(InfeasibleRatio):
             data.simulate_missing_views(10, 2, 0.8, seed=0)
 
+    def test_bit_equal_to_full_resum_oracle(self):
+        # infeasible ratios included: both sides must then raise
+        for n in (1, 2, 5, 17, 64, 300):
+            for m in range(1, 7):
+                for ratio in np.arange(10) / 10:
+                    for seed in range(4):
+                        try:
+                            want = oracle_simulate_missing_views(n, m, ratio, seed)
+                        except InfeasibleRatio:
+                            with pytest.raises(InfeasibleRatio):
+                                data.simulate_missing_views(n, m, ratio, seed)
+                            continue
+                        got = data.simulate_missing_views(n, m, ratio, seed)
+                        np.testing.assert_array_equal(got, want)
+
     def test_repair_keeps_counts_at_high_pressure(self):
         # m=2 at ratio 0.5 forces many collisions; counts must survive repair
         w = data.simulate_missing_views(100, 2, 0.5, seed=3)
@@ -219,6 +235,13 @@ class TestSplit:
         # every original row appears exactly once
         original = {tuple(row) for row in ds.views[0]}
         assert {tuple(row) for row in joined} == original
+
+    def test_sides_own_their_rows(self):
+        ds = data.make_synthetic(25, 2, 3, 2, [4, 4], seed=0)
+        for side in data.split(ds, 0.6, seed=2):
+            for got, source in zip(side.views + [side.labels, side.view_mask, side.label_mask],
+                                   ds.views + [ds.labels, ds.view_mask, ds.label_mask]):
+                assert not np.shares_memory(got, source) and not got.flags.writeable
 
     def test_deterministic(self):
         ds = data.make_synthetic(30, 2, 3, 2, [4, 4], seed=0)

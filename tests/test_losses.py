@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from mvmlc import autodiff as ad
 from mvmlc import losses as L
 from mvmlc.autodiff import Tensor
-from mvmlc.errors import DegenerateMask
+from mvmlc.errors import DegenerateMask, DimensionMismatch
 
 
 class TestLabelSimilarity:
@@ -141,6 +141,16 @@ class TestGraphConstraintLoss:
             w = (rng.random((6, 3)) < 0.8).astype(float)
             w[w.sum(axis=1) == 0, 0] = 1.0
             assert L.graph_constraint_loss(Tensor(z), t, u, w).item() >= 0.0
+
+    def test_view_mask_of_wrong_shape(self):
+        rng = np.random.default_rng(6)
+        z = Tensor(rng.standard_normal((8, 3, 4)))
+        t, u = L.label_similarity((rng.random((8, 2)) < 0.5).astype(float), np.ones((8, 2)))
+        w = np.ones((8, 3))
+        for bad in (w[:1], w[:, :2], w.T, w[None]):
+            with pytest.raises(DimensionMismatch) as info:
+                L.graph_constraint_loss(z, t, u, bad)
+            assert str(bad.shape) in str(info.value) and "(8, 3)" in str(info.value)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -230,6 +230,15 @@ class TestAdaptiveFusion:
             M.adaptive_fusion(Tensor(np.ones((2, 2, 4))), np.array([[1.0, 0.0], [0.0, 0.0]]),
                               Tensor(np.ones(2)), 2.0)
 
+    def test_view_mask_of_wrong_shape(self):
+        # a (1, m) mask would broadcast row 0's availability to every sample
+        states = Tensor(np.random.default_rng(11).standard_normal((8, 3, 4)))
+        w = np.ones((8, 3))
+        for bad in (w[:1], w[:, :2], w.T, w[None]):
+            with pytest.raises(DimensionMismatch) as info:
+                M.adaptive_fusion(states, bad, Tensor(np.ones(3)), 2.0)
+            assert str(bad.shape) in str(info.value) and "(8, 3)" in str(info.value)
+
 
 class TestClassTokenEncoder:
     def test_output_shapes(self):
