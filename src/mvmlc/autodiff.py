@@ -25,7 +25,7 @@ still promote by numpy's rules.
 
 Fused primitives: every tape record costs Python overhead in the forward
 and the backward pass, and at small widths that overhead, not arithmetic,
-bounds a training step. Three composite operations therefore record one
+bounds a training step. Four composite operations therefore record one
 entry each, with a hand-written backward:
 
 - ``linear(x, w, b)``: ``x @ w + b`` with any leading axes of ``x``
@@ -34,6 +34,9 @@ entry each, with a hand-written backward:
   on packed query/key/value projections, head split and merge included.
   Its weights come from ``softmax`` or ``masked_softmax`` applied to the
   plain scores array, so masking stays bit-exact and lives in one place.
+- ``shared_token_attention(proj, n, heads)``: unmasked attention over
+  [a sample's token, c tokens shared by every sample] that computes the
+  shared tokens' block once per call instead of once per sample.
 - ``bce_with_logits(logits, targets, weights)``: binary cross-entropy in
   logit space, which keeps a gradient where a float32 sigmoid saturates.
 
@@ -699,7 +702,7 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
     returns one packed ``qkv`` gradient. It reuses the stored weights
     instead of recomputing them from ``qkv``: they hold n * heads * r * t
     values against the n * t * 3d of ``qkv``, fewer whenever
-    heads * r < 3d, as in both encoders here.
+    heads * r < 3d, as in the encoders here.
     """
     qkv = _as_tensor(qkv)
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
@@ -740,6 +743,130 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
 
     mixed = (p @ v).transpose(0, 2, 1, 3).reshape(n, r, d)
     return _make(mixed, (qkv,), backward), probs
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis rows, ``(a * b).sum(-1)``, as
+    (1, k) @ (k, 1) products: no elementwise temporary."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def shared_token_attention(proj, n: int, heads: int, queries=None) -> Tensor:
+    """Attention over [one sample token, c tokens shared by every sample], as
+    one tape record.
+
+    ``proj`` is (n + c, 3 * d): the packed query/key/value projections of n
+    sample tokens followed by c shared tokens. The result equals
+    ``attention(qkv, heads, queries=queries)[0]`` up to rounding, where
+    ``qkv`` (n, c + 1, 3 * d) puts each sample's row in front of the c shared
+    rows, but no per-sample copy of the shared rows and no
+    (n, heads, c + 1, c + 1) scores are built. Per head:
+
+    - the shared block runs once: S = Q_c K_c^T / sqrt(d_h), its ``softmax``
+      P_c, its log-sum-exp L and A = P_c V_c;
+    - shared row i of sample j merges the one extra key k_0(j) into that
+      block by the log-sum-exp rescaling of the online softmax:
+      A_i + w_ij (v_0(j) - A_i), with w_ij = sigmoid(q_i . k_0(j) / sqrt(d_h) - L_i);
+    - row 0 is an ordinary softmax over [k_0(j), K_c].
+
+    ``queries`` is as in ``attention``, an int in [1, c + 1]; with
+    ``queries=1`` the shared block is not computed at all. The backward pass
+    reuses P_c, A, w and the row-0 weights of the forward pass.
+    """
+    proj = _as_tensor(proj)
+    if proj.data.ndim != 2 or proj.data.shape[-1] % (3 * heads) != 0:
+        raise DimensionMismatch(
+            f"shared_token_attention needs packed (n + c, 3 * d) projections with d divisible "
+            f"by heads={heads}, got {proj.data.shape}"
+        )
+    rows, d3 = proj.data.shape
+    if not 1 <= n <= rows - 1:
+        raise DimensionMismatch(f"n={n} must lie in [1, {rows - 1}] for {rows} rows")
+    c = rows - n
+    if queries is not None and not 1 <= queries <= c + 1:
+        raise DimensionMismatch(f"queries={queries} must lie in [1, {c + 1}] for {c + 1} tokens")
+    r = c + 1 if queries is None else queries
+    rc = r - 1  # shared tokens that act as queries
+    d = d3 // 3
+    d_h = d // heads
+    dtype = proj.data.dtype
+    scale = dtype.type(1.0 / math.sqrt(d_h))
+    # (3, heads, n + c, d_h) views of the packed projections
+    q, k, v = proj.data.reshape(rows, 3, heads, d_h).transpose(1, 2, 0, 3)
+    q0, k0, v0 = q[:, :n], k[:, :n], v[:, :n]
+    qc, kc, vc = q[:, n:], k[:, n:], v[:, n:]
+
+    out = np.empty((n, r, d), dtype)
+    heads_out = out.reshape(n, r, heads, d_h).transpose(2, 0, 1, 3)  # (heads, n, r, d_h)
+    # row 0: each sample's query over its own key, then the c shared keys
+    scores0 = np.empty((heads, n, 1 + c), dtype)
+    scores0[..., 0] = _row_dot(q0, k0)
+    np.matmul(q0, _swap_last(kc), out=scores0[..., 1:])
+    scores0 *= scale
+    p0 = softmax(scores0).data
+    np.matmul(p0[..., 1:], vc, out=heads_out[:, :, 0])
+    heads_out[:, :, 0] += p0[..., :1] * v0
+    if rc:
+        # the shared block, once per call
+        s_c = (qc[:, :rc] @ _swap_last(kc)) * scale
+        p_c = softmax(s_c).data
+        # a row's largest weight is exp(0) / Z, so L = max(S) + log Z = max(S) - log max(P_c)
+        lse = s_c.max(axis=-1) - np.log(p_c.max(axis=-1))
+        a = p_c @ vc  # (heads, rc, d_h)
+        # weight of each sample's own key in each shared row: (heads, n, rc)
+        w = (k0 @ _swap_last(qc[:, :rc])) * scale
+        w -= lse[:, None, :]
+        w = _sigmoid(w)
+        # A_i + w_ij (v_0(j) - A_i), in the output's own (n, rc, heads, d_h)
+        # order, which numpy walks several times faster than the head-major one
+        a_rows = np.ascontiguousarray(a.transpose(1, 0, 2))
+        shared_out = out.reshape(n, r, heads, d_h)[:, 1:]
+        np.subtract(v0.transpose(1, 0, 2)[:, None], a_rows, out=shared_out)
+        shared_out *= w.transpose(1, 2, 0)[..., None]
+        shared_out += a_rows
+
+    def backward(g):
+        g_heads = g.reshape(n, r, heads, d_h).transpose(2, 0, 1, 3)  # (heads, n, r, d_h)
+        g_proj = np.empty((rows, 3, heads, d_h), dtype)
+        # (heads, n + c, d_h) views of the packed gradient
+        g_q, g_k, g_v = g_proj.transpose(1, 2, 0, 3)
+        g0 = g_heads[:, :, 0]
+        g_p0 = np.empty_like(p0)
+        g_p0[..., 0] = _row_dot(g0, v0)
+        np.matmul(g0, _swap_last(vc), out=g_p0[..., 1:])
+        g_s0 = _softmax_backward(p0, g_p0)
+        g_s0 *= scale
+        np.matmul(g_s0[..., 1:], kc, out=g_q[:, :n])
+        g_q[:, :n] += g_s0[..., :1] * k0
+        np.multiply(g_s0[..., :1], q0, out=g_k[:, :n])
+        np.matmul(_swap_last(g_s0[..., 1:]), q0, out=g_k[:, n:])
+        np.multiply(p0[..., :1], g0, out=g_v[:, :n])
+        np.matmul(_swap_last(p0[..., 1:]), g0, out=g_v[:, n:])
+        g_q[:, n + rc :] = 0.0
+        if rc:
+            # (heads, rc, n, d_h): shared row i's gradient over the samples
+            g_rows = g_heads[:, :, 1:].transpose(0, 2, 1, 3)
+            g_v[:, :n] += (w[:, :, None, :] @ g_heads[:, :, 1:])[:, :, 0]
+            g_a = ((1.0 - _swap_last(w))[..., None, :] @ g_rows)[:, :, 0]  # (heads, rc, d_h)
+            # gradient of w: g_ij . (v_0(j) - A_i), then through the sigmoid
+            g_w = (g_heads[:, :, 1:] @ v0[..., None])[..., 0]
+            g_w -= _swap_last((g_rows @ a[..., None])[..., 0])
+            g_w *= w
+            g_w *= 1.0 - w
+            g_lse = -g_w.sum(axis=1)  # (heads, rc)
+            g_w *= scale
+            g_k[:, :n] += g_w @ qc[:, :rc]
+            # the shared block: A = P_c V_c and L = logsumexp(S), dL/dS = P_c
+            g_v[:, n:] += _swap_last(p_c) @ g_a
+            g_s = _softmax_backward(p_c, g_a @ _swap_last(vc))
+            g_s += g_lse[..., None] * p_c
+            g_s *= scale
+            np.matmul(_swap_last(g_w), k0, out=g_q[:, n : n + rc])
+            g_q[:, n : n + rc] += g_s @ kc
+            g_k[:, n:] += _swap_last(g_s) @ qc[:, :rc]
+        return (g_proj.reshape(rows, d3),)
+
+    return _make(out, (proj,), backward)
 
 
 def bce_with_logits(logits, targets, weights) -> Tensor:

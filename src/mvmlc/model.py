@@ -6,7 +6,11 @@ view-attention encoder exchanges information across available views only
 the per-view states into one vector per sample, and a second encoder runs
 over [fused vector, c learnable class tokens] so categories can share
 information. c+1 heads read the outputs: one multi-label head on the
-consensus token and one scalar head per class token.
+consensus token and one scalar head per class token. The class tokens are
+the same for every sample, so that encoder's first layer computes their
+class-to-class attention once per batch and merges each sample's fused
+vector into it (``ad.shared_token_attention``); the result equals running
+the layer per sample up to rounding.
 
 The heads emit logits, and the losses work in logit space. ``forward``
 applies the sigmoid only at the edge, to the main head, to give
@@ -276,12 +280,11 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
 
     LayerNorm-1 and the Q/K/V projections are row-wise, so the class tokens
     need them once, not once per sample: the n fused rows and the c class
-    tokens are normalized and projected together as one (n + c, d_e) matrix,
-    and the class rows are broadcast over the batch. Everything from the
-    attention scores on is per sample. numpy computes a one-row product with
-    gemv, which can round differently from a GEMM; projecting the n + c >= 2
-    rows together keeps every product a GEMM, so in float64 the output is
-    bit-identical to ``_encoder_layer`` over the concatenated tokens.
+    tokens are normalized and projected together as one (n + c, d_e) matrix.
+    ``ad.shared_token_attention`` then computes the class-to-class block of
+    the attention once and merges each sample's own key and value into it,
+    so no class row is copied per sample. The output equals
+    ``_encoder_layer`` over the concatenated tokens up to rounding.
 
     ``queries`` is as in ``_encoder_layer``. With ``queries=1`` the layer
     returns only the fused token, so its residual is ``fused`` alone.
@@ -295,9 +298,7 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
                            params[f"{prefix}.ln1_b"])
     proj = ad.linear(normed, _qkv_weight(params, prefix))
-    qkv = ad.concat([proj[:n].reshape((n, 1, 3 * d)), ad.broadcast_to(proj[n:], (n, c, 3 * d))],
-                    axis=1)
-    mixed, _ = ad.attention(qkv, params.config.heads, queries=queries)
+    mixed = ad.shared_token_attention(proj, n, params.config.heads, queries)
     return _encoder_tail(_query_rows(tokens, queries), mixed, params, prefix, train, rng)
 
 
@@ -348,7 +349,9 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams,
     the per-sample class-token states (n, c, d_e). The same learned tokens
     feed every sample; attention specializes them per sample. Layer 0 sees
     the class tokens before any sample has touched them, so it projects them
-    once (``_shared_token_layer``); deeper layers run per sample.
+    and computes their class-to-class attention once per batch
+    (``_shared_token_layer``), equal to the per-sample layer up to rounding;
+    deeper layers run per sample.
 
     With ``tokens=False`` only the consensus is wanted: the last layer
     still attends over all c + 1 tokens but computes only the consensus

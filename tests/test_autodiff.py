@@ -231,6 +231,73 @@ class TestAttention:
             ad.attention(ad.Tensor(np.zeros((2, 3, 6))), 1, queries=queries)
 
 
+def concatenated_attention(proj, n, heads, queries=None):
+    """``shared_token_attention`` the long way: copy the c shared rows to
+    every sample and run ``attention`` over the (n, c + 1, 3 * d) tokens."""
+    rows, d3 = proj.shape
+    qkv = ad.concat([proj[:n].reshape((n, 1, d3)), ad.broadcast_to(proj[n:], (n, rows - n, d3))],
+                    axis=1)
+    return ad.attention(qkv, heads, queries=queries)[0]
+
+
+class TestSharedTokenAttention:
+    @staticmethod
+    def _output_and_grad(attend, proj, n, heads, queries, weights):
+        x = ad.Tensor(proj, requires_grad=True)
+        with ad.Tape() as tape:
+            out = attend(x, n, heads, queries)
+            tape.backward((out * weights).sum())
+        return out.data, x.grad
+
+    def _both(self, proj, n, heads, queries, seed=30):
+        c = proj.shape[0] - n
+        weights = np.random.default_rng(seed).standard_normal(
+            (n, queries or c + 1, proj.shape[1] // 3)).astype(proj.dtype)
+        return [self._output_and_grad(attend, proj, n, heads, queries, weights)
+                for attend in (ad.shared_token_attention, concatenated_attention)]
+
+    @pytest.mark.parametrize("queries", [None, 1, 2])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_attention_over_concatenated_tokens(self, dtype, n, c, heads, queries):
+        proj = np.random.default_rng(31).standard_normal((n + c, 12 * heads)).astype(dtype)
+        got, want = self._both(proj, n, heads, queries)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype and g.shape == w.shape
+            if dtype == np.float64:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_allclose(g, w, rtol=2e-6, atol=2e-6 * np.abs(w).max())
+
+    @pytest.mark.parametrize("n, c, heads, queries", [(1, 1, 1, None), (3, 2, 2, None),
+                                                      (2, 3, 1, 1), (2, 3, 2, 3)])
+    def test_gradient_matches_finite_differences(self, n, c, heads, queries):
+        rng = np.random.default_rng(32)
+        proj = rng.standard_normal((n + c, 6 * heads))
+        weights = rng.standard_normal((n, queries or c + 1, 2 * heads))
+        check_gradients(
+            lambda ts: (ad.shared_token_attention(ts[0], n, heads, queries) * weights).sum(),
+            [proj])
+
+    @pytest.mark.parametrize("queries", [None, 1])
+    def test_large_scores_stay_finite_and_match(self, queries):
+        proj = np.random.default_rng(33).standard_normal((5, 24)) * 40.0
+        got, want = self._both(proj, 2, 2, queries)
+        for g, w in zip(got, want):
+            assert np.all(np.isfinite(g))
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("n, heads, queries", [(0, 1, None), (4, 1, None), (2, 1, 0),
+                                                   (2, 1, 4), (2, 4, None)])
+    def test_dimension_errors(self, n, heads, queries):
+        # 4 rows: n in [1, 3]; c = 4 - n tokens plus the sample's, so queries in [1, c + 1];
+        # width 6 is not a multiple of 3 * 4
+        with pytest.raises(DimensionMismatch):
+            ad.shared_token_attention(ad.Tensor(np.zeros((4, 6))), n, heads, queries)
+
+
 class TestBceWithLogits:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(26)
@@ -258,6 +325,7 @@ class TestFusedRecords:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case, records", [("linear", 1), ("attention", 1),
                                                ("attention_queries", 1),
+                                               ("shared_token_attention", 1),
                                                ("bce_with_logits", 1)])
     def test_record_count_in_input_dtype(self, case, records, dtype):
         rng = np.random.default_rng(27)
@@ -271,6 +339,8 @@ class TestFusedRecords:
                           lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)))[0]),
             "attention_queries": ([tensor(2, 3, 12)],
                                   lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)), 1)[0]),
+            "shared_token_attention": ([tensor(5, 12)],
+                                       lambda ts: ad.shared_token_attention(ts[0], 2, 2)),
             "bce_with_logits": ([tensor(3, 4)],
                                 lambda ts: ad.bce_with_logits(ts[0], np.ones((3, 4)),
                                                               np.full((3, 4), 0.25))),
