@@ -40,11 +40,13 @@ entry each, with a hand-written backward:
 - ``bce_with_logits(logits, targets, weights)``: binary cross-entropy in
   logit space, which keeps a gradient where a float32 sigmoid saturates.
 
-Dropout masks come from 32-bit draws: ``dropout`` compares the halves of
-the generator's raw 64-bit words against a 32-bit threshold, two mask
-elements per word, instead of drawing a float64 uniform per element. A seeded
-generator gives the same masks on every run; the stream is not the one
-``rng.random(shape) < keep`` would give.
+Dropout runs only when it is given a random generator: training passes
+one, and inference and gradient checks pass none. Its masks come from
+32-bit draws: ``dropout`` compares the halves of the generator's raw 64-bit
+words against a 32-bit threshold, two mask elements per word, instead of
+drawing a float64 uniform per element. A seeded generator gives the same
+masks on every run; the stream is not the one ``rng.random(shape) < keep``
+would give.
 
 The error function inside ``gelu`` is numpy only for float32: a rational
 approximation evaluated in float32 (``_erf_float32``), within 8 ulp of the
@@ -134,9 +136,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -148,9 +147,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -921,9 +917,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(out_data, (x, gain, bias), backward)
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
+def dropout(x, rate: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale kept values by
-    1/(1-rate) so the expected output equals the input. Identity in eval mode.
+    1/(1-rate) so the expected output equals the input. Passing ``rng`` is
+    what turns dropout on: without a generator, or at rate 0, it is the
+    identity and draws nothing.
 
     The mask comes from 32-bit draws: the k = x.size elements take the
     32-bit halves of ``(k + 1) // 2`` raw 64-bit words of ``rng``'s bit
@@ -935,10 +933,8 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None, train: bool 
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs a random generator")
     keep = 1.0 - rate
     threshold = np.uint32(min(round(keep * 2**32), 2**32 - 1))
     k = x.data.size

@@ -238,7 +238,7 @@ def cmd_gradcheck(args) -> int:
     t, u = losses.label_similarity(ds.labels, ds.label_mask)
 
     def loss():
-        out = forward(ds.views, ds.view_mask, params, train=False)
+        out = forward(ds.views, ds.view_mask, params)
         return objective(out, ds.labels, ds.label_mask, ds.view_mask, t, u,
                          options["alpha"], options["beta"])[0]
 
@@ -246,8 +246,7 @@ def cmd_gradcheck(args) -> int:
     for group, names in params.groups().items():
         if not names:
             continue
-        per_group[group] = ad.gradient_check(loss, [params[name] for name in names],
-                                             eps=1e-5)
+        per_group[group] = ad.gradient_check(loss, [params[name] for name in names])
         log(f"gradcheck {group}: max rel err {per_group[group]:.3e}")
     worst = max(per_group.values())
     passed = bool(worst < GRADCHECK_TOLERANCE)

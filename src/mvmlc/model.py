@@ -196,15 +196,15 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _mlp_block(x: Tensor, params: ModelParams, prefix: str, train: bool, rng) -> Tensor:
+def _mlp_block(x: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
     cfg = params.config
     h = ad.gelu(ad.linear(x, params[f"{prefix}w1"], params[f"{prefix}b1"]))
-    h = ad.dropout(h, cfg.dropout, rng=rng, train=train)
+    h = ad.dropout(h, cfg.dropout, rng)
     h = ad.linear(h, params[f"{prefix}w2"], params[f"{prefix}b2"])
-    return ad.dropout(h, cfg.dropout, rng=rng, train=train)
+    return ad.dropout(h, cfg.dropout, rng)
 
 
-def embed_views(views, params: ModelParams, train: bool = False, rng=None) -> Tensor:
+def embed_views(views, params: ModelParams, rng=None) -> Tensor:
     """Map per-view matrices (n x d_v each) into a shared (n, m, d_e) tensor."""
     if len(views) != len(params.view_dims):
         raise DimensionMismatch(f"got {len(views)} views for a {len(params.view_dims)}-view model")
@@ -216,7 +216,7 @@ def embed_views(views, params: ModelParams, train: bool = False, rng=None) -> Te
             raise DimensionMismatch(
                 f"view {v} has shape {x.shape}; expected (n, {params.view_dims[v]})"
             )
-        embedded.append(_mlp_block(Tensor(x), params, f"embed.{v}.", train, rng))
+        embedded.append(_mlp_block(Tensor(x), params, f"embed.{v}.", rng))
     return ad.stack(embedded, axis=1)
 
 
@@ -253,28 +253,27 @@ def _query_rows(x: Tensor, queries) -> Tensor:
     return x if queries is None or queries == x.shape[1] else x[:, :queries]
 
 
-def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str,
-                   train: bool, rng, queries=None) -> Tensor:
+def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng,
+                   queries=None) -> Tensor:
     """One pre-norm encoder layer; it returns only the first ``queries``
     tokens when that is an int, since every token's output depends on its
     own query alone."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
     mixed, _ = masked_attention(normed, mask, params, prefix, queries)
-    return _encoder_tail(_query_rows(x, queries), mixed, params, prefix, train, rng)
+    return _encoder_tail(_query_rows(x, queries), mixed, params, prefix, rng)
 
 
-def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str,
-                  train: bool, rng) -> Tensor:
+def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
     """Output projection, attention residual, and the pre-norm MLP residual."""
     cfg = params.config
     attended = ad.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    x = x + ad.dropout(attended, cfg.dropout, rng=rng, train=train)
+    x = x + ad.dropout(attended, cfg.dropout, rng)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])
-    return x + _mlp_block(normed, params, f"{prefix}.mlp_", train, rng)
+    return x + _mlp_block(normed, params, f"{prefix}.mlp_", rng)
 
 
-def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
-                        train: bool, rng, queries=None) -> Tensor:
+def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
+                        queries=None) -> Tensor:
     """An encoder layer over [fused, cls] tokens whose c class tokens are the
     same for every sample.
 
@@ -299,11 +298,10 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str,
                            params[f"{prefix}.ln1_b"])
     proj = ad.linear(normed, _qkv_weight(params, prefix))
     mixed = ad.shared_token_attention(proj, n, params.config.heads, queries)
-    return _encoder_tail(_query_rows(tokens, queries), mixed, params, prefix, train, rng)
+    return _encoder_tail(_query_rows(tokens, queries), mixed, params, prefix, rng)
 
 
-def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams,
-                         train: bool = False, rng=None) -> Tensor:
+def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams, rng=None) -> Tensor:
     """Run all masked encoder layers over the (n, m, d_e) view embeddings;
     ``view_mask`` is their (n, m) availability (see ``attention_mask``)."""
     if np.shape(view_mask) != embedded.shape[:2]:
@@ -311,7 +309,7 @@ def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams,
     mask = attention_mask(view_mask)
     x = embedded
     for layer in range(params.config.layers_v):
-        x = _encoder_layer(x, mask, params, f"view_enc.{layer}", train, rng)
+        x = _encoder_layer(x, mask, params, f"view_enc.{layer}", rng)
     return x
 
 
@@ -341,8 +339,8 @@ def fusion_weights(params: ModelParams) -> np.ndarray:
     return np.exp(np.power(a, params.config.gamma))
 
 
-def class_token_encoder_forward(fused: Tensor, params: ModelParams,
-                                train: bool = False, rng=None, tokens: bool = True):
+def class_token_encoder_forward(fused: Tensor, params: ModelParams, rng=None,
+                                tokens: bool = True):
     """Unmasked encoder over [fused sample vector, c class tokens].
 
     Returns (consensus, class_states): the first output token (n, d_e) and
@@ -355,9 +353,9 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams,
 
     With ``tokens=False`` only the consensus is wanted: the last layer
     still attends over all c + 1 tokens but computes only the consensus
-    row (``queries=1``), and class_states is None. In eval mode the
+    row (``queries=1``), and class_states is None. Without ``rng`` the
     consensus equals the full path's up to rounding, since the GEMMs run
-    over fewer rows; in train mode the dropout draws differ as well.
+    over fewer rows; with ``rng`` the dropout draws differ as well.
     """
     cfg = params.config
     if fused.ndim != 2 or fused.shape[1] != cfg.d_e:
@@ -365,9 +363,9 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams,
     queries = [None] * cfg.layers_c
     if not tokens:
         queries[-1] = 1
-    x = _shared_token_layer(fused, params, "cls_enc.0", train, rng, queries[0])
+    x = _shared_token_layer(fused, params, "cls_enc.0", rng, queries[0])
     for layer in range(1, cfg.layers_c):
-        x = _encoder_layer(x, None, params, f"cls_enc.{layer}", train, rng, queries[layer])
+        x = _encoder_layer(x, None, params, f"cls_enc.{layer}", rng, queries[layer])
     return x[:, 0, :], (x[:, 1:, :] if tokens else None)
 
 
@@ -401,16 +399,15 @@ class ForwardPass:
     p_main: Tensor               # (n, c) main predictions: sigmoid of main_logits
 
 
-def forward(views, view_mask, params: ModelParams, train: bool = False, rng=None,
-            tokens: bool = True) -> ForwardPass:
-    """Run the whole model on a batch. ``tokens=False`` skips the class-token
-    states and their heads, which only the training loss reads (see
-    ``class_token_encoder_forward``)."""
-    embedded = embed_views(views, params, train=train, rng=rng)
-    view_states = view_encoder_forward(embedded, view_mask, params, train=train, rng=rng)
+def forward(views, view_mask, params: ModelParams, rng=None, tokens: bool = True) -> ForwardPass:
+    """Run the whole model on a batch. Passing ``rng`` turns dropout on, as
+    training does; without it the pass is deterministic. ``tokens=False``
+    skips the class-token states and their heads, which only the training
+    loss reads (see ``class_token_encoder_forward``)."""
+    embedded = embed_views(views, params, rng)
+    view_states = view_encoder_forward(embedded, view_mask, params, rng)
     fused = adaptive_fusion(view_states, view_mask, params["fusion.a"], params.config.gamma)
-    consensus, class_states = class_token_encoder_forward(fused, params, train=train, rng=rng,
-                                                          tokens=tokens)
+    consensus, class_states = class_token_encoder_forward(fused, params, rng, tokens=tokens)
     main_logits, token_logits = predict(consensus, class_states, params)
     return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits,
                        ad.sigmoid(main_logits))

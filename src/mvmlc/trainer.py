@@ -37,6 +37,8 @@ from .model import ForwardPass, ModelConfig, ModelParams, forward
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# rows per forward pass in evaluate; scores do not depend on it
+EVAL_BATCH_SIZE = 512
 
 
 @dataclass
@@ -226,12 +228,17 @@ def train(
     state = AdamState(params)
     history = RunHistory()
     n = dataset.n
+    # a one-row tail joins the batch before it: the pair losses need pairs
+    starts = list(range(0, n, train_config.batch_size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n]))
 
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(n)
         sums = dict.fromkeys(("loss", "l_mc", "l_gc", "l_ac"), 0.0)
-        for start in range(0, n, train_config.batch_size):
-            idx = order[start : start + train_config.batch_size]
+        for step, (start, stop) in enumerate(bounds):
+            idx = order[start:stop]
             if dataset.label_mask[idx].sum() == 0:
                 idx = shuffle_rng.choice(n, size=len(idx), replace=False)
                 if dataset.label_mask[idx].sum() == 0:
@@ -242,24 +249,19 @@ def train(
 
             params.zero_grads()
             with Tape() as tape:
-                out = forward(_batch_views(dataset, idx), w_b, params, train=True,
-                              rng=dropout_rng)
+                out = forward(_batch_views(dataset, idx), w_b, params, rng=dropout_rng)
                 terms = objective(out, dataset.labels[idx], dataset.label_mask[idx], w_b,
                                   *ctx.batch(idx), train_config.alpha, train_config.beta)
                 loss = terms[0]
                 tape.backward(loss)
 
             if not np.isfinite(loss.data):
-                raise NonFiniteLoss(
-                    f"epoch {epoch}, step {start // train_config.batch_size}: loss={loss.item()}"
-                )
+                raise NonFiniteLoss(f"epoch {epoch}, step {step}: loss={loss.item()}")
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             adam_step(params, grads, state, train_config)
             if not params.all_finite():
                 raise NonFiniteLoss(
-                    f"epoch {epoch}, step {start // train_config.batch_size}: "
-                    "non-finite parameter after update"
-                )
+                    f"epoch {epoch}, step {step}: non-finite parameter after update")
 
             # a redraw keeps the batch size, so the sizes sum to n per epoch
             k = len(idx)
@@ -282,23 +284,23 @@ def train(
     return params, history
 
 
-def evaluate(params: ModelParams, dataset: MultiViewDataset,
-             batch_size: int = 512) -> MetricsReport:
-    """Score the main head on a dataset in eval mode (no dropout).
+def evaluate(params: ModelParams, dataset: MultiViewDataset) -> MetricsReport:
+    """Score the main head on a dataset, with no dropout: the forward
+    passes get no random generator.
 
     View availability is respected; labels are taken as full ground truth,
-    so pass an uncorrupted split. Per-sample independence makes the batch
-    size irrelevant to the result. Only the main head is ranked, so the
-    forward pass skips the class-token states (``tokens=False``).
+    so pass an uncorrupted split. The rows run ``EVAL_BATCH_SIZE`` at a
+    time; per-sample independence makes that size irrelevant to the result.
+    Only the main head is ranked, so the forward pass skips the class-token
+    states (``tokens=False``).
     """
     if params.n_labels != dataset.c:
         raise DimensionMismatch(
             f"the model predicts {params.n_labels} labels but the dataset has {dataset.c}")
     scores = np.empty((dataset.n, dataset.c))
-    for start in range(0, dataset.n, batch_size):
-        idx = np.arange(start, min(start + batch_size, dataset.n))
-        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params, train=False,
-                      tokens=False)
+    for start in range(0, dataset.n, EVAL_BATCH_SIZE):
+        idx = np.arange(start, min(start + EVAL_BATCH_SIZE, dataset.n))
+        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params, tokens=False)
         scores[idx] = out.p_main.data
     if np.any(dataset.label_mask == 0):
         warnings.warn("evaluating against a dataset with masked labels; "

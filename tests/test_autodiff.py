@@ -703,7 +703,7 @@ class TestShapeOps:
     def test_mean_gradient(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((3, 4))
-        check_gradients(lambda ts: (ts[0].mean(axis=1) ** 2).sum(), [a])
+        check_gradients(lambda ts: (ad.tensor_mean(ts[0], axis=1) ** 2).sum(), [a])
 
 
 class TestClamp:
@@ -719,35 +719,35 @@ class TestClamp:
 
 
 class TestDropout:
-    def test_eval_mode_is_identity(self):
+    def test_identity_without_generator(self):
         x = ad.Tensor(np.arange(5.0))
-        out = ad.dropout(x, 0.5, train=False)
+        out = ad.dropout(x, 0.5)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_expected_value_preserved(self):
         rng = np.random.default_rng(15)
         x = ad.Tensor(np.full(100_000, 2.0))
-        out = ad.dropout(x, 0.1, rng=rng, train=True)
+        out = ad.dropout(x, 0.1, rng=rng)
         assert abs(out.data.mean() - 2.0) / 2.0 < 0.01
 
     def test_gradient_uses_same_mask(self):
         rng = np.random.default_rng(16)
         x = ad.Tensor(np.ones(1000), requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.dropout(x, 0.25, rng=rng, train=True)
+            out = ad.dropout(x, 0.25, rng=rng)
             tape.backward(out.sum())
         # Gradient is exactly the scale mask applied in the forward pass.
         np.testing.assert_array_equal((x.grad > 0), (out.data > 0))
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor(np.ones(2)), 1.0, train=True)
+            ad.dropout(ad.Tensor(np.ones(2)), 1.0, rng=np.random.default_rng(19))
 
     @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
     def test_kept_fraction_is_binomial(self, rate):
         k = 200_001
         out = ad.dropout(ad.Tensor(np.ones(k, dtype=np.float32)), rate,
-                         rng=np.random.default_rng(20), train=True)
+                         rng=np.random.default_rng(20))
         keep = 1.0 - rate
         kept = int(np.count_nonzero(out.data))
         assert abs(kept - k * keep) < 5.0 * math.sqrt(k * keep * rate)
@@ -756,15 +756,14 @@ class TestDropout:
     def test_odd_and_zero_d_shapes(self, shape):
         x = ad.Tensor(np.full(shape, 2.0, dtype=np.float32), requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.dropout(x, 0.5, rng=np.random.default_rng(21), train=True)
+            out = ad.dropout(x, 0.5, rng=np.random.default_rng(21))
             tape.backward(out.sum())
         assert out.shape == shape and out.dtype == np.float32
         assert np.all((out.data == 0.0) | (out.data == 4.0))
         np.testing.assert_array_equal(x.grad, out.data / 2.0)
 
     def test_float64_stays_float64(self):
-        out = ad.dropout(ad.Tensor(np.ones((4, 5))), 0.3, rng=np.random.default_rng(22),
-                         train=True)
+        out = ad.dropout(ad.Tensor(np.ones((4, 5))), 0.3, rng=np.random.default_rng(22))
         assert out.dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -773,11 +772,11 @@ class TestDropout:
         x = ad.Tensor(np.random.default_rng(23).standard_normal((6, 50)).astype(dtype),
                       requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.dropout(x, rate, rng=np.random.default_rng(24), train=True)
+            out = ad.dropout(x, rate, rng=np.random.default_rng(24))
             tape.backward(out.sum())
         # replay the same draws to recover the mask
         replay = ad.dropout(ad.Tensor(np.ones_like(x.data)), rate,
-                            rng=np.random.default_rng(24), train=True).data
+                            rng=np.random.default_rng(24)).data
         mask = replay != 0
         inv_keep = dtype(1.0) / dtype(1.0 - rate)
         assert x.grad.dtype == dtype
@@ -786,9 +785,9 @@ class TestDropout:
 
     def test_same_seed_same_mask(self):
         x = ad.Tensor(np.ones((9, 13), dtype=np.float32))
-        a = ad.dropout(x, 0.4, rng=np.random.default_rng(25), train=True).data
-        b = ad.dropout(x, 0.4, rng=np.random.default_rng(25), train=True).data
-        c = ad.dropout(x, 0.4, rng=np.random.default_rng(26), train=True).data
+        a = ad.dropout(x, 0.4, rng=np.random.default_rng(25)).data
+        b = ad.dropout(x, 0.4, rng=np.random.default_rng(25)).data
+        c = ad.dropout(x, 0.4, rng=np.random.default_rng(26)).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -797,7 +796,7 @@ class TestDropout:
         rate = 2.0**-34
         assert round((1.0 - rate) * 2**32) == 2**32
         x = ad.Tensor(np.ones(10_000))
-        out = ad.dropout(x, rate, rng=np.random.default_rng(27), train=True)
+        out = ad.dropout(x, rate, rng=np.random.default_rng(27))
         np.testing.assert_array_equal(out.data, 1.0 / (1.0 - rate))
 
 

@@ -261,24 +261,23 @@ class TestClassTokenEncoder:
         np.testing.assert_allclose(perm_s.data, base_s.data[:, perm, :], atol=1e-12)
 
     @staticmethod
-    def _generic_layers(fused, params, train=False, rng=None):
+    def _generic_layers(fused, params, rng=None):
         """Every layer, layer 0 included, run per sample over the tokens."""
         n, d = fused.shape
         c = params.n_labels
         tokens = ad.concat([fused.reshape((n, 1, d)), ad.broadcast_to(params["cls"], (n, c, d))],
                            axis=1)
         for layer in range(params.config.layers_c):
-            tokens = M._encoder_layer(tokens, None, params, f"cls_enc.{layer}", train, rng)
+            tokens = M._encoder_layer(tokens, None, params, f"cls_enc.{layer}", rng)
         return tokens
 
     @pytest.mark.parametrize("layers_c", [1, 2])
     def test_shared_first_layer_matches_per_sample_layer(self, layers_c):
         params = tiny_params(layers_c=layers_c)
         fused = Tensor(np.random.default_rng(13).standard_normal((5, 8)))
-        for train in (False, True):
-            ref = self._generic_layers(fused, params, train, np.random.default_rng(14)).data
-            consensus, states = M.class_token_encoder_forward(
-                fused, params, train=train, rng=np.random.default_rng(14))
+        for dropout_rng in (lambda: None, lambda: np.random.default_rng(14)):
+            ref = self._generic_layers(fused, params, dropout_rng()).data
+            consensus, states = M.class_token_encoder_forward(fused, params, dropout_rng())
             np.testing.assert_allclose(consensus.data, ref[:, 0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(states.data, ref[:, 1:], rtol=0, atol=1e-12)
 
@@ -363,15 +362,35 @@ class TestEndToEnd:
         assert out.p_main.shape == (7, 4)
         assert out.token_logits.shape == (7, 4)
 
-    def test_train_mode_dropout_is_seeded(self):
+    def test_dropout_is_seeded(self):
         params = tiny_params(dtype="float32")
         rng = np.random.default_rng(16)
         views, w = random_inputs(rng, 4, params.view_dims)
-        a = M.forward(views, w, params, train=True, rng=np.random.default_rng(5)).p_main.data
-        b = M.forward(views, w, params, train=True, rng=np.random.default_rng(5)).p_main.data
-        c = M.forward(views, w, params, train=True, rng=np.random.default_rng(6)).p_main.data
+        a = M.forward(views, w, params, rng=np.random.default_rng(5)).p_main.data
+        b = M.forward(views, w, params, rng=np.random.default_rng(5)).p_main.data
+        c = M.forward(views, w, params, rng=np.random.default_rng(6)).p_main.data
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
+
+    def test_generator_at_rate_zero_draws_nothing(self):
+        params = tiny_params(dtype="float32", dropout=0.0)
+        views, w = random_inputs(np.random.default_rng(17), 5, params.view_dims, missing=0.3)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with_rng = M.forward(views, w, params, rng=rng)
+        without = M.forward(views, w, params)
+        assert rng.bit_generator.state == before
+        for name in ("view_states", "fused", "consensus", "class_states", "main_logits",
+                     "token_logits", "p_main"):
+            np.testing.assert_array_equal(getattr(with_rng, name).data,
+                                          getattr(without, name).data)
+
+    def test_no_generator_means_no_dropout(self):
+        views, w = random_inputs(np.random.default_rng(18), 5, (3, 4, 2), missing=0.3)
+        a = M.forward(views, w, tiny_params(dtype="float32", dropout=0.1))
+        b = M.forward(views, w, tiny_params(dtype="float32", dropout=0.0))
+        np.testing.assert_array_equal(a.p_main.data, b.p_main.data)
+        np.testing.assert_array_equal(a.token_logits.data, b.token_logits.data)
 
     @staticmethod
     def _objective_and_grads(views, w, labels, label_mask, params):

@@ -1,5 +1,7 @@
 """Tests for the optimizer, training loop, and evaluation driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,8 +137,7 @@ class TestPrecision:
         params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
         t, u = losses.label_similarity(ds.labels, ds.label_mask)
         with DtypeTape() as tape:
-            out = M.forward(ds.views, ds.view_mask, params, train=True,
-                            rng=np.random.default_rng(0))
+            out = M.forward(ds.views, ds.view_mask, params, rng=np.random.default_rng(0))
             loss, *_ = trainer_mod.objective(out, ds.labels, ds.label_mask, ds.view_mask,
                                              t, u, tc.alpha, tc.beta)
             tape.backward(loss)
@@ -217,6 +218,21 @@ class TestTrain:
         train(mc, tc, ds)
         assert rows and max(rows) <= tc.batch_size
 
+    @pytest.mark.parametrize("n, batches", [(33, [33]), (65, [32, 33]), (34, [32, 2])])
+    def test_one_row_tail_joins_the_batch_before_it(self, monkeypatch, n, batches):
+        sizes = []
+
+        def recording(views, *args, **kwargs):
+            sizes.append(len(views[0]))
+            return M.forward(views, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "forward", recording)
+        mc, tc = small_configs(epochs=1, batch_size=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "graph constraint skipped"
+            train(mc, tc, small_dataset(n=n))
+        assert sizes == batches and sum(sizes) == n
+
     def test_degenerate_label_mask_aborts(self):
         ds = small_dataset(n=20)
         blank = data.MultiViewDataset(
@@ -261,11 +277,13 @@ class TestEvaluate:
         b = evaluate(params, ds)
         assert a.to_json() == b.to_json()
 
-    def test_batch_size_does_not_change_scores(self):
+    def test_batch_size_does_not_change_scores(self, monkeypatch):
         ds = small_dataset(n=30)
         params = ModelParams.initialize(ModelConfig(d_e=16, heads=2), ds.view_dims, ds.c, seed=0)
-        a = evaluate(params, ds, batch_size=7)
-        b = evaluate(params, ds, batch_size=512)
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH_SIZE", 7)
+        a = evaluate(params, ds)
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH_SIZE", 512)
+        b = evaluate(params, ds)
         assert a.to_json() == b.to_json()
 
     def test_random_init_scores_at_chance(self):
@@ -292,7 +310,7 @@ class TestEvaluate:
             x[gone] = rng.standard_normal((int(gone.sum()), x.shape[1])) * 100
             noisy_views.append(x)
         scores = np.empty((masked.n, masked.c))
-        out = M.forward(noisy_views, masked.view_mask, params, train=False)
+        out = M.forward(noisy_views, masked.view_mask, params)
         scores[:] = out.p_main.data
         report = trainer_mod.compute_report(scores, masked.labels,
                                             meta={"n": masked.n, "m": masked.m, "c": masked.c})
@@ -306,6 +324,7 @@ class TestEvaluate:
             return seen[-1]
 
         monkeypatch.setattr(trainer_mod, "forward", kept_forward)
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH_SIZE", 16)
         ds = small_dataset(n=50, m=3, seed=5)
         masked = data.apply_masks(ds, view_mask=data.simulate_missing_views(50, 3, 0.4, seed=5))
         for layers_c in (1, 2):
@@ -315,7 +334,7 @@ class TestEvaluate:
             full = M.forward(masked.views, masked.view_mask, params)
             assert full.token_logits is not None
             want = trainer_mod.compute_report(full.p_main.data, masked.labels).to_dict()
-            got = evaluate(params, masked, batch_size=16).to_dict()
+            got = evaluate(params, masked).to_dict()
             for key in ("ap", "one_minus_rl", "auc"):
                 assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
             assert (got["n_eval"], got["skipped"]) == (want["n_eval"], want["skipped"])
@@ -363,7 +382,7 @@ class TestObjectiveProperties:
                 tape = Tape() if grad else None
                 if tape is not None:
                     tape.__enter__()
-                out = M.forward(ds.views, ds.view_mask, params, train=False)
+                out = M.forward(ds.views, ds.view_mask, params)
                 loss, *_ = trainer_mod.objective(out, ds.labels, ds.label_mask, ds.view_mask,
                                                  t, u, alpha, beta)
                 if tape is not None:
