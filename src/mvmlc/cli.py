@@ -361,7 +361,8 @@ def main(argv=None) -> int:
     except InfeasibleRatio as exc:
         log(f"error: {exc}")
         return 3
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, Warning) as exc:
+        # a Warning arrives here only when a warnings filter made it an error
         log(f"error: {exc.__class__.__name__}: {exc}")
         return 1
 

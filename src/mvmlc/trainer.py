@@ -6,7 +6,9 @@ bit-identical parameters, history, and reports within a precision mode and
 a BLAS thread count. The thread count matters because OpenBLAS splits a
 GEMM's sums differently across threads: the same run with
 ``OPENBLAS_NUM_THREADS=1`` and with 2 can end on losses that differ in the
-last digits.
+last digits. The same holds for the row and column sums of softmax, layer
+norm and the bias gradients, which ``autodiff`` takes as BLAS
+matrix-vector products: within one thread count they are reproducible too.
 
 Label similarity constants are computed per batch, over the batch's rows
 only. Every step computes all three loss terms of ``objective`` on the tape,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mvmlc import autodiff as ad
 from mvmlc.errors import (
@@ -427,16 +428,21 @@ def gelu_formula(x, g):
     return x * cdf, g * (cdf + x * pdf)
 
 
+def row_sums(a):
+    """Last-axis sums written as the ones-vector product the kernels use."""
+    return (a.reshape(-1, a.shape[-1]) @ np.ones(a.shape[-1], a.dtype)).reshape(a.shape[:-1] + (1,))
+
+
 def softmax_formula(x, g):
     """Softmax over the last axis and its gradient as whole-array expressions."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    dot = (g * p).sum(axis=-1, keepdims=True)
+    p = e / row_sums(e)
+    dot = row_sums(g * p)
     return p, (g - dot) * p
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(7,), (4, 3, 32), (2, 21, 128), (3, 40_000)])
+@pytest.mark.parametrize("shape", [(7,), (4, 3, 32), (2, 21, 128), (3, 40_000), (512, 4, 4, 4)])
 @pytest.mark.parametrize("op, formula", [(ad.gelu, gelu_formula),
                                          (ad.softmax, softmax_formula)])
 def test_in_place_kernels_bit_equal_formulas(op, formula, shape, dtype):
@@ -451,6 +457,138 @@ def test_in_place_kernels_bit_equal_formulas(op, formula, shape, dtype):
     for got, want in ((out.data, want_out), (t.grad, want_grad)):
         assert got.dtype == dtype
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def canonical_bits(a):
+    """Bytes of ``a`` with -0.0 turned into +0.0; every other value keeps its bits."""
+    return (a + a.dtype.type(0.0)).view(np.uint8)
+
+
+MAX_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, ad.MASK_FILL, 1.0, -1.0]
+
+
+class TestReductions:
+    """The kernels' private row and column reductions against numpy's."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 24), st.data())
+    def test_max_last_equals_numpy_max(self, dtype, d, data):
+        value = st.one_of(st.sampled_from(MAX_SPECIALS),
+                          st.floats(allow_nan=False, allow_infinity=False, width=32))
+        rows = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
+        pattern = np.array(rows, dtype=dtype)
+        # an even count of at least 64 * d rows, so every view below still has
+        # the 32 rows a column that the sweep needs
+        x = np.tile(pattern, (2 * -(-32 * d // len(rows)), 1))
+        for view in (x, x[::2], x[:, ::-1], np.asfortranarray(x), x.reshape(-1, 2, d)[:, 1]):
+            got = ad._max_last(view)
+            want = view.max(axis=-1, keepdims=True)
+            assert got.shape == want.shape and got.dtype == dtype
+            # a zero maximum's sign follows the order numpy happens to scan in
+            np.testing.assert_array_equal(canonical_bits(got), canonical_bits(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_last_special_rows(self, dtype):
+        rows = np.array([[np.nan, 1.0, 2.0], [1.0, 2.0, np.nan], [np.inf, -np.inf, 1.0],
+                         [-np.inf, -np.inf, -np.inf], [ad.MASK_FILL, ad.MASK_FILL, -3.0],
+                         [ad.MASK_FILL] * 3, [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]], dtype=dtype)
+        x = np.tile(rows, (40, 1))
+        got = ad._max_last(x)
+        np.testing.assert_array_equal(canonical_bits(got), canonical_bits(x.max(-1, keepdims=True)))
+        assert np.all(np.signbit(got[6::8]))                # a row of -0.0 keeps its sign
+        np.testing.assert_array_equal(ad._max_last(x[:, :1]), x[:, :1])  # a last axis of 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_of_signed_zeros_is_bit_exact(self, dtype):
+        # the sign of a zero maximum cannot reach the weights: x - (+-0) is x
+        # for nonzero x, +-0 otherwise, and exp(+-0) is exactly 1
+        rng = np.random.default_rng(13)
+        x = np.where(rng.random((2048, 17)) < 0.5, 0.0, -0.0).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -2.0
+        got = ad._softmax_last_axis(x)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(got.view(np.uint8), (e / row_sums(e)).view(np.uint8))
+
+    @staticmethod
+    def _tolerance(dtype):
+        return 1e-6 if dtype == np.float32 else 1e-15
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.lists(st.integers(0, 6), min_size=0, max_size=2), st.integers(0, 8), st.data())
+    def test_sum_last_matches_numpy(self, dtype, lead, d, data):
+        x = data.draw(hnp.arrays(dtype, tuple(lead) + (d,), elements=st.floats(
+            -1e3, 1e3, width=32 if dtype == np.float32 else 64)))
+        got = ad._sum_last(x)
+        want = x.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == dtype
+        bound = self._tolerance(dtype) * np.abs(x).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= bound)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.lists(st.integers(0, 8), min_size=1, max_size=2),
+           st.lists(st.integers(0, 6), min_size=0, max_size=2), st.data())
+    def test_sum_leading_matches_numpy(self, dtype, lead, rest, data):
+        # at most 8 summed rows, so each sum makes few enough roundings for the bound
+        lead = lead[:1] if math.prod(lead) > 8 else lead
+        x = data.draw(hnp.arrays(dtype, tuple(lead) + tuple(rest), elements=st.floats(
+            -1e3, 1e3, width=32 if dtype == np.float32 else 64)))
+        axes = tuple(range(len(lead)))
+        got = ad._sum_leading(x, len(lead))
+        want = x.sum(axis=axes)
+        assert got.shape == want.shape and got.dtype == dtype
+        assert np.all(np.abs(got - want) <= self._tolerance(dtype) * np.abs(x).sum(axis=axes))
+
+    @pytest.mark.parametrize("grad_shape, shape", [
+        ((3, 8, 8), ()), ((5,), (1,)), ((64, 4, 32), (1, 4, 32)), ((64, 4, 32), (4, 32)),
+        ((64, 3, 32), (1, 3, 1)), ((6, 16, 16), (6, 16, 1)), ((64, 3), (1, 3)),
+        ((2, 3, 4), (3, 1)), ((2, 1, 4), (1, 1, 4)), ((2, 3, 4), (2, 1, 4)), ((0, 3), (3,)),
+    ])
+    def test_unbroadcast_matches_numpy_sum(self, grad_shape, shape):
+        grad = np.random.default_rng(14).standard_normal(grad_shape)
+        extra = len(grad_shape) - len(shape)
+        axes = tuple(range(extra)) + tuple(
+            extra + i for i, s in enumerate(shape) if s == 1 and grad_shape[extra + i] != 1)
+        want = grad.sum(axis=axes, keepdims=True).reshape(shape)
+        got = ad._unbroadcast(grad, shape)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * max(1.0, np.abs(grad).sum()))
+
+
+def softmax_numpy(x, g):
+    """Softmax and its gradient from numpy's own max and sum reductions."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, (g - (g * p).sum(axis=-1, keepdims=True)) * p
+
+
+def layer_norm_numpy(x, gain, bias, g):
+    """layer_norm's output and (x, gain, bias) gradients from numpy's reductions."""
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((x_hat * x_hat).mean(axis=-1, keepdims=True) + 1e-5)
+    x_hat *= inv_std
+    g_x = g * gain
+    g_in = inv_std * (g_x - g_x.mean(axis=-1, keepdims=True)
+                      - x_hat * (g_x * x_hat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(x.ndim - 1))
+    return [x_hat * gain + bias, g_in, (g * x_hat).sum(axis=lead), g.sum(axis=lead)]
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 3, 32), (512, 4, 4, 4), (4, 512, 17), (2, 21, 128)])
+def test_float64_reductions_match_numpy_formulas(shape):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(shape) * 3.0 + 1.0
+    g = rng.standard_normal(shape)
+    gain, bias = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+    t = ad.Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        p = ad.softmax(t)
+        tape.backward((p * ad.Tensor(g)).sum())
+    pairs = list(zip([p.data, t.grad], softmax_numpy(x, g)))
+    pairs += zip(layer_norm_with_grads(x, gain, bias, g), layer_norm_numpy(x, gain, bias, g))
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
 
 
 def ulp_index(a):

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,22 @@ class TestTrainEval:
         assert err.splitlines() == [err.strip()] and err.startswith("error: ValueError")
         assert name in err
 
+    def test_warning_raised_as_error_exits_1_with_one_line(self, capsys, tmp_path):
+        # 42 training rows at batch 40 leave a 2-row tail with no valid pair,
+        # whose graph-constraint warning the filter turns into an exception
+        run_cli(capsys, "synth", "--n", "60", "--m", "3", "--c", "4", "--seed", "0",
+                "--out", str(tmp_path / "ds"))
+        run_cli(capsys, "corrupt", "--data", str(tmp_path / "ds"), "--view-missing", "0.6",
+                "--seed", "0", "--out", str(tmp_path / "dsm"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            code, _, err = run_cli(capsys, "train", "--data", str(tmp_path / "dsm"),
+                                   "--out", str(tmp_path / "run"), "--label-missing", "0.5",
+                                   "--batch", "40", "--epochs", "3", "--d-e", "8", "--heads", "2")
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: UserWarning: graph constraint skipped")
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
     def test_eval_records_the_checkpoint_config(self, capsys, tmp_path):
         run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
         run = tmp_path / "run"
@@ -330,6 +347,7 @@ class TestSubprocessEntry:
         # scipy's erf serves float64 only; float32 gelu runs on a numpy kernel
         script = """
 import sys
+import warnings
 import numpy as np
 from mvmlc import data, trainer
 from mvmlc.model import ModelConfig
