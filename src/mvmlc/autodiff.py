@@ -16,6 +16,21 @@ never mutated in place, only rebound, so sharing buffers between records is
 safe. The one writer is the optimizer, which updates parameter data in
 place between steps, after the tape that read it has been consumed.
 
+Record lifetime: ``Tape.backward`` pops each record off the tape before it
+runs the record's backward closure, so the tape is empty once the sweep
+ends. A record holds its output, its inputs and a closure over the arrays
+the backward reads; dropping it frees all of them, and an intermediate
+tensor that the caller no longer holds goes with its ``.grad`` during the
+sweep rather than when the tape does, so a step's activations are not
+held next to all of their gradients at its end. A tensor the caller still
+holds keeps its gradient, and the arithmetic and its order are
+those of a plain reverse walk, so results are the same bit for bit.
+
+Constant operands: the backward of ``add``, ``sub``, ``mul``, ``div`` and
+``matmul``, and ``linear``'s for its input ``x``, returns None and computes
+nothing for an operand whose ``requires_grad`` is False, such as a scalar,
+a label array or a data batch.
+
 Dtype rule: in the binary primitives (``add``, ``sub``, ``mul``, ``div`` and
 their operators, reflected ones included) an operand that is not a Tensor,
 such as a Python scalar or a plain ndarray, takes the dtype of the Tensor
@@ -211,7 +226,13 @@ class Tape:
         self._records.append((out, inputs, backward))
 
     def backward(self, loss: Tensor):
-        """Accumulate dloss/dt into t.grad for every recorded tensor t."""
+        """Accumulate dloss/dt into t.grad for every recorded tensor t that is
+        still reachable, and every ``requires_grad`` leaf.
+
+        Each record is dropped as it is used, so the tape is empty afterwards
+        and an intermediate nobody holds is freed during the sweep, gradient
+        included. A second call raises ``DoubleBackward``.
+        """
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss has shape {loss.data.shape}; expected a scalar")
         if self._used:
@@ -219,7 +240,11 @@ class Tape:
         self._used = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward_fn in reversed(self._records):
+        records = self._records
+        while records:
+            # popped before it runs: its closure, and an output nobody else
+            # holds, are freed when the next iteration rebinds these names
+            out, inputs, backward_fn = records.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
@@ -322,7 +347,8 @@ def add(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -331,7 +357,8 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -341,8 +368,8 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _make(a.data * b.data, (a, b), backward)
@@ -353,8 +380,9 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+            if b.requires_grad else None,
         )
 
     return _make(a.data / b.data, (a, b), backward)
@@ -407,8 +435,8 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g @ _swap_last(b.data), a.data.shape),
-            _unbroadcast(_swap_last(a.data) @ g, b.data.shape),
+            _unbroadcast(g @ _swap_last(b.data), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(_swap_last(a.data) @ g, b.data.shape) if b.requires_grad else None,
         )
 
     return _make(a.data @ b.data, (a, b), backward)

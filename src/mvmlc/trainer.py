@@ -15,10 +15,30 @@ only. Every step computes all three loss terms of ``objective`` on the tape,
 for the history; ``total_loss`` leaves a zero-weight term out of the sum, so
 its records get no gradient and backward skips them. A zero-alpha run thus
 updates parameters exactly like a run that never builds the graph term.
+
+Heap: ``Tape.backward`` frees each step's activations during the sweep,
+and the next step allocates them again. So that glibc reuses that memory
+instead of faulting it in anew each step, ``train`` sets two ``mallopt``
+values once per process, through ``ctypes``:
+
+- ``M_TRIM_THRESHOLD`` at 1 GiB: up to 1 GiB of freed heap stays resident
+  instead of going back to the kernel.
+- ``M_MMAP_THRESHOLD`` at 32 MiB, the ceiling of glibc's adaptive mmap
+  threshold: arrays below it come from the heap. Any ``mallopt`` call
+  freezes the adaptive threshold where the process's history left it, and
+  at the paper's label scale (c = 260) that made each 17 MB activation a
+  fresh ``mmap``, so the threshold is set too.
+
+The settings are process-wide and stay in force after ``train`` returns.
+Where glibc's ``mallopt`` is missing (macOS, Windows, musl's stub) the call
+does nothing. The allocator changes only where arrays live, never their
+values.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import warnings
@@ -41,6 +61,26 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # rows per forward pass in evaluate; scores do not depend on it
 EVAL_BATCH_SIZE = 512
+# glibc's mallopt parameter numbers, and the values train sets for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+HEAP_SETTINGS = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 32 << 20))
+
+
+@functools.cache
+def keep_freed_heap() -> bool:
+    """Apply ``HEAP_SETTINGS`` through glibc's ``mallopt``, once per process.
+
+    Returns whether glibc accepted them all; False where the C library has
+    no ``mallopt`` (nothing changes) or refuses a setting.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a list, not a generator: every setting is tried even if one is refused
+    return all([mallopt(param, value) == 1 for param, value in HEAP_SETTINGS])
 
 
 @dataclass
@@ -215,8 +255,10 @@ def train(
 
     A batch whose label mask is entirely zero is redrawn once; a second
     degenerate draw aborts. Non-finite losses abort with the failing step in
-    the message.
+    the message. The first call in a process sets glibc's heap thresholds
+    (see the module docstring), which outlive the call.
     """
+    keep_freed_heap()
     seed_seq = np.random.SeedSequence(train_config.seed)
     init_seed, shuffle_seed, dropout_seed = seed_seq.spawn(3)
     params = ModelParams.initialize(
@@ -251,8 +293,10 @@ def train(
 
             params.zero_grads()
             with Tape() as tape:
-                out = forward(_batch_views(dataset, idx), w_b, params, rng=dropout_rng)
-                terms = objective(out, dataset.labels[idx], dataset.label_mask[idx], w_b,
+                # no name holds the forward pass, so backward frees its states
+                terms = objective(forward(_batch_views(dataset, idx), w_b, params,
+                                          rng=dropout_rng),
+                                  dataset.labels[idx], dataset.label_mask[idx], w_b,
                                   *ctx.batch(idx), train_config.alpha, train_config.beta)
                 loss = terms[0]
                 tape.backward(loss)

@@ -6,6 +6,7 @@ values for the fixed cases.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -812,6 +813,77 @@ class TestBackward:
         y = x * 2.0
         assert not y.requires_grad
         assert y.grad is None
+
+    def test_records_are_freed_as_the_sweep_uses_them(self):
+        x = ad.Tensor(np.linspace(0.5, 2.0, 6), requires_grad=True)
+        with ad.Tape() as tape:
+            dropped = ad.exp(x)
+            held = dropped * 3.0
+            loss = ad.log(held).sum()
+            assert len(tape) == 4
+            dropped_data = weakref.ref(dropped.data)
+            del dropped
+            tape.backward(loss)
+            # the tape is still alive, but no longer holds the dropped tensor
+            assert dropped_data() is None
+            assert len(tape) == 0
+            np.testing.assert_array_equal(held.grad, 1.0 / held.data)
+            with pytest.raises(DoubleBackward):
+                tape.backward(loss)
+        # d/dx log(3 exp(x)) = 1
+        np.testing.assert_allclose(x.grad, np.ones(6), rtol=1e-15)
+
+
+class ClosureTape(ad.Tape):
+    """Tape that keeps every record's backward closure."""
+
+    def __init__(self):
+        super().__init__()
+        self.closures = []
+
+    def record(self, out, inputs, backward):
+        self.closures.append(backward)
+        super().record(out, inputs, backward)
+
+
+def recorded_backward(build, *tensors):
+    """The one backward closure that ``build(*tensors)`` records."""
+    with ClosureTape() as tape:
+        build(*tensors)
+    (backward,) = tape.closures
+    return backward
+
+
+class TestConstantOperands:
+    """A binary primitive's backward returns None for an operand that does
+    not require a gradient, and the other operand's gradient unchanged."""
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("shapes", [((3, 4, 4), (4, 4)), ((4, 4), (3, 4, 4))])
+    @pytest.mark.parametrize("constant", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_slot_is_none(self, op, shapes, constant, dtype):
+        rng = np.random.default_rng(31)
+        arrays = [rng.uniform(0.5, 2.0, shape).astype(dtype) for shape in shapes]
+        g = rng.standard_normal((3, 4, 4)).astype(dtype)
+        both = recorded_backward(op, *(ad.Tensor(a, requires_grad=True) for a in arrays))(g)
+        got = recorded_backward(op, *(ad.Tensor(a, requires_grad=i != constant)
+                                      for i, a in enumerate(arrays)))(g)
+        assert got[constant] is None
+        variable = 1 - constant
+        assert got[variable].dtype == dtype
+        np.testing.assert_array_equal(got[variable], both[variable])
+
+    @pytest.mark.parametrize("build", [lambda x: x + 1.0, lambda x: 1.0 + x,
+                                       lambda x: x - 1.0, lambda x: 1.0 - x,
+                                       lambda x: x * 0.5, lambda x: 0.5 * x,
+                                       lambda x: x / 2.0, lambda x: 1.0 / x])
+    def test_scalar_operand_is_none(self, build):
+        x = ad.Tensor(np.linspace(0.5, 2.0, 6), requires_grad=True)
+        grads = recorded_backward(build, x)(np.ones(6))
+        assert sum(grad is None for grad in grads) == 1
+        (grad,) = [grad for grad in grads if grad is not None]
+        assert grad.shape == (6,)
 
 
 class TestShapeOps:

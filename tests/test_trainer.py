@@ -1,6 +1,9 @@
 """Tests for the optimizer, training loop, and evaluation driver."""
 
+import platform
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +153,67 @@ class TestPrecision:
         adam_step(params, grads, state, tc)
         for name, p in params.items():
             assert p.dtype == state.m[name].dtype == state.v[name].dtype == want
+
+
+class TestRecordLifetime:
+    def test_backward_frees_the_forward_as_it_goes(self):
+        """One float32 step, the forward pass handed straight to the
+        objective as ``train`` does: backward's traced peak stays near what
+        the forward retained, and almost none of that is left afterwards."""
+        ds = small_dataset(n=64, m=3, c=8)
+        mc = ModelConfig(d_e=32, heads=2, dtype="float32")
+        params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
+        t, u = losses.label_similarity(ds.labels, ds.label_mask)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = trainer_mod.objective(M.forward(ds.views, ds.view_mask, params, rng=rng),
+                                             ds.labels, ds.label_mask, ds.view_mask, t, u,
+                                             10.0, 0.1)[0]
+                retained = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+                current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.25 * retained
+        assert current - base < 0.1 * retained
+        assert all(p.grad is not None for _, p in params.items())
+
+
+class TestKeepFreedHeap:
+    def test_second_call_is_harmless(self):
+        first = trainer_mod.keep_freed_heap()
+        assert trainer_mod.keep_freed_heap() is first
+        # past the once-per-process cache, the C library takes it again too
+        assert trainer_mod.keep_freed_heap.__wrapped__() is first
+
+    @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                        reason="glibc only")
+    def test_glibc_accepts_the_settings(self):
+        assert trainer_mod.keep_freed_heap() is True
+
+    @staticmethod
+    def _no_libc(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("cdll", [
+        _no_libc,
+        lambda name: SimpleNamespace(),                                 # no mallopt
+        lambda name: SimpleNamespace(mallopt=lambda param, value: 0),  # refused
+    ])
+    def test_no_op_off_glibc(self, monkeypatch, cdll):
+        monkeypatch.setattr(trainer_mod.ctypes, "CDLL", cdll)
+        assert trainer_mod.keep_freed_heap.__wrapped__() is False
+
+    def test_train_sets_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer_mod, "keep_freed_heap", lambda: calls.append(1))
+        mc, tc = small_configs(epochs=1)
+        train(mc, tc, small_dataset(n=20))
+        assert calls == [1]
 
 
 class TestTrainConfig:
