@@ -25,7 +25,9 @@ vector, or any prediction. Missing views are masked as attention keys, whose
 weights underflow to exactly 0, so the guarantee is bit-exact. A missing
 view's own row is computed but never read, and gets exactly zero gradient.
 
-Encoder blocks use pre-layer-norm residual wiring. Every MLP block is
+Encoder blocks use pre-layer-norm residual wiring. Each layer packs its
+query, key and value weights side by side in one (d_e, 3 d_e) parameter,
+``{prefix}.wqkv``, so the three projections are one GEMM. Every MLP block is
 linear -> GELU -> dropout -> linear -> dropout with hidden width equal to
 the embedding width.
 """
@@ -42,7 +44,7 @@ from .autodiff import Tensor
 from .errors import DimensionMismatch, EmptyRowMask
 
 CHECKPOINT_FORMAT = "mvmlc-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -102,7 +104,8 @@ class ModelParams:
     def initialize(cls, config: ModelConfig, view_dims: list[int], n_labels: int,
                    seed: int = 0) -> "ModelParams":
         """Seeded init: weights N(0, 0.02), biases 0, norm gains 1, fusion
-        weights 1 (so fusion starts as a masked mean), class tokens N(0, 0.02)."""
+        weights 1 (so fusion starts as a masked mean), class tokens N(0, 0.02).
+        Each ``wqkv`` is three (d_e, d_e) draws, query, key, value, side by side."""
         rng = np.random.default_rng(seed)
         dt = config.np_dtype
         d = config.d_e
@@ -124,9 +127,8 @@ class ModelParams:
             t[f"embed.{v}.b2"] = zeros(d)
 
         def encoder_layer(prefix):
-            t[f"{prefix}.wq"] = weight((d, d))
-            t[f"{prefix}.wk"] = weight((d, d))
-            t[f"{prefix}.wv"] = weight((d, d))
+            wqkv = np.concatenate([rng.standard_normal((d, d)) for _ in range(3)], axis=1)
+            t[f"{prefix}.wqkv"] = Tensor((wqkv * 0.02).astype(dt), requires_grad=True)
             t[f"{prefix}.wo"] = weight((d, d))
             t[f"{prefix}.bo"] = zeros(d)
             t[f"{prefix}.ln1_g"] = ones(d)
@@ -229,25 +231,6 @@ def attention_mask(view_mask: np.ndarray) -> np.ndarray:
     return w[:, None, :]
 
 
-def _qkv_weight(params: ModelParams, prefix: str) -> Tensor:
-    """The layer's query, key and value weights packed as one (d_e, 3 d_e)
-    matrix, so the three projections are one GEMM."""
-    return ad.concat([params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")], axis=1)
-
-
-def masked_attention(x: Tensor, mask, params: ModelParams, prefix: str, queries=None):
-    """Multi-head scaled dot-product attention over the token axis.
-
-    x: (n, t, d_e); mask: binary (n, t, t), an (n, 1, t) key mask, or None.
-    Returns (mixed, probs) where mixed is the concatenated head outputs
-    (n, r, d_e) before the output projection and probs is the constant
-    (n, h, r, t) attention weights. r is t, or ``queries`` when only the
-    first ``queries`` tokens are asked for (see ``ad.attention``).
-    """
-    return ad.attention(ad.linear(x, _qkv_weight(params, prefix)), params.config.heads, mask,
-                        queries)
-
-
 def _query_rows(x: Tensor, queries) -> Tensor:
     """The tokens of x (n, t, d_e) that act as queries: all, or the first ``queries``."""
     return x if queries is None or queries == x.shape[1] else x[:, :queries]
@@ -259,7 +242,8 @@ def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng,
     tokens when that is an int, since every token's output depends on its
     own query alone."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
-    mixed, _ = masked_attention(normed, mask, params, prefix, queries)
+    mixed, _ = ad.attention(ad.linear(normed, params[f"{prefix}.wqkv"]), params.config.heads,
+                            mask, queries)
     return _encoder_tail(_query_rows(x, queries), mixed, params, prefix, rng)
 
 
@@ -296,7 +280,7 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
         tokens = ad.concat([tokens, ad.broadcast_to(cls, (n, c, d))], axis=1)
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
                            params[f"{prefix}.ln1_b"])
-    proj = ad.linear(normed, _qkv_weight(params, prefix))
+    proj = ad.linear(normed, params[f"{prefix}.wqkv"])
     mixed = ad.shared_token_attention(proj, n, params.config.heads, queries)
     return _encoder_tail(_query_rows(tokens, queries), mixed, params, prefix, rng)
 
@@ -326,10 +310,10 @@ def adaptive_fusion(states: Tensor, view_mask, weights: Tensor, gamma: float) ->
     w = np.asarray(view_mask, dtype=states.dtype)
     if np.any(w.sum(axis=-1) == 0):
         raise EmptyRowMask("a sample has no available view to fuse")
-    n, m, _ = states.shape
+    m = states.shape[1]
     raw = ad.exp(weights ** gamma)
     numer = (states * raw.reshape((1, m, 1)) * Tensor(w[:, :, None])).sum(axis=1)
-    denom = (raw.reshape((1, m)) * Tensor(w)).sum(axis=1, keepdims=True)
+    denom = (raw * Tensor(w)).sum(axis=1, keepdims=True)
     return numer / denom
 
 
@@ -377,12 +361,10 @@ def predict(consensus: Tensor, class_states: Tensor | None, params: ModelParams)
     stack the c per-class scalar heads, each reading only its own token;
     they are None when class_states is None.
     """
-    c = params.n_labels
-    d = params.config.d_e
     main_logits = ad.linear(consensus, params["head_main.w"], params["head_main.b"])
     if class_states is None:
         return main_logits, None
-    token_logits = (class_states * params["head_tokens.w"].reshape((1, c, d))).sum(axis=2)
+    token_logits = (class_states * params["head_tokens.w"]).sum(axis=2)
     return main_logits, token_logits + params["head_tokens.b"]
 
 
@@ -437,10 +419,29 @@ def save_checkpoint(params: ModelParams, path) -> None:
                  **arrays)
 
 
+def _pack_qkv(arrays: dict[str, np.ndarray], path) -> dict[str, np.ndarray]:
+    """Pack each version-1 ``{prefix}.wq``/``wk``/``wv`` triple into
+    ``{prefix}.wqkv``, in ``wq``'s place; a partial triple raises ValueError."""
+    parts = ("wq", "wk", "wv")
+    packed = {}
+    for name, array in arrays.items():
+        prefix, _, leaf = name.rpartition(".")
+        if leaf not in parts:
+            packed[name] = array
+        elif f"{prefix}.wqkv" not in packed:
+            triple = [f"{prefix}.{part}" for part in parts]
+            missing = [part for part in triple if part not in arrays]
+            if missing:
+                raise ValueError(f"{path} lacks parameters of a version-1 layer: {missing}")
+            packed[f"{prefix}.wqkv"] = np.concatenate([arrays[part] for part in triple], axis=1)
+    return packed
+
+
 def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file; a file of any other layout, or a
     header that lacks a field or whose config keys differ from
-    ``ModelConfig``'s, raises ValueError naming it."""
+    ``ModelConfig``'s, raises ValueError naming it. Version-1 files, with
+    unpacked Q/K/V weights, load with a fresh model's names (``_pack_qkv``)."""
     bundle = np.load(path)
     if not isinstance(bundle, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
@@ -449,8 +450,9 @@ def load_checkpoint(path) -> ModelParams:
                 if "__meta__" in bundle.files else {})
         if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        version = meta.get("version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         try:
             names = list(meta["names"])
             view_dims = [int(d) for d in meta["view_dims"]]
@@ -464,8 +466,8 @@ def load_checkpoint(path) -> ModelParams:
         missing = [name for name in names if f"param:{name}" not in bundle.files]
         if missing:
             raise ValueError(f"{path} lists parameters it does not hold: {missing}")
-        tensors = {
-            name: Tensor(bundle[f"param:{name}"].copy(), requires_grad=True)
-            for name in names
-        }
+        arrays = {name: bundle[f"param:{name}"].copy() for name in names}
+    if version == 1:
+        arrays = _pack_qkv(arrays, path)
+    tensors = {name: Tensor(array, requires_grad=True) for name, array in arrays.items()}
     return ModelParams(config, view_dims, n_labels, tensors)

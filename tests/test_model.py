@@ -6,6 +6,7 @@ available views' states, the fused vector, or any prediction, bit-exactly.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ def write_with_meta(checkpoint, path, edit):
     edit(meta)
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def attend(x, mask, params, prefix):
+    """A layer's attention over x as ``_encoder_layer`` runs it: (mixed, probs)."""
+    return ad.attention(ad.linear(x, params[f"{prefix}.wqkv"]), params.config.heads, mask)
 
 
 class TestModelConfig:
@@ -91,7 +97,7 @@ class TestMaskedSelfAttention:
         x = Tensor(np.tile(np.linspace(-1, 1, 8), (1, 3, 1)))
         mask = M.attention_mask(np.ones((1, 3)))
         normed = ad.layer_norm(x, params["view_enc.0.ln1_g"], params["view_enc.0.ln1_b"])
-        _, probs = M.masked_attention(normed, mask, params, "view_enc.0")
+        _, probs = attend(normed, mask, params, "view_enc.0")
         np.testing.assert_allclose(probs.data, 1.0 / 3.0, atol=1e-12)
 
     def test_masked_view_content_invariance(self):
@@ -111,9 +117,7 @@ class TestMaskedSelfAttention:
         wq = np.array([[1.0, 0.0], [0.0, 1.0]])
         wk = np.array([[0.0, 1.0], [1.0, 0.0]])
         wv = np.array([[2.0, 0.0], [0.0, 0.5]])
-        params["view_enc.0.wq"].data[...] = wq
-        params["view_enc.0.wk"].data[...] = wk
-        params["view_enc.0.wv"].data[...] = wv
+        params["view_enc.0.wqkv"].data[...] = np.concatenate([wq, wk, wv], axis=1)
         u = np.array([[1.0, -1.0], [0.5, 2.0]])
 
         q, k, v = u @ wq, u @ wk, u @ wv
@@ -122,9 +126,8 @@ class TestMaskedSelfAttention:
         a_ref = e / e.sum(axis=1, keepdims=True)
         h_ref = a_ref @ v
 
-        mixed, probs = M.masked_attention(
-            Tensor(u.reshape(1, 2, 2)), M.attention_mask(np.ones((1, 2))), params, "view_enc.0"
-        )
+        mixed, probs = attend(Tensor(u.reshape(1, 2, 2)), M.attention_mask(np.ones((1, 2))),
+                              params, "view_enc.0")
         np.testing.assert_allclose(probs.data[0, 0], a_ref, atol=1e-9)
         np.testing.assert_allclose(mixed.data[0], h_ref, atol=1e-9)
 
@@ -161,7 +164,7 @@ class TestViewEncoder:
         emb = M.embed_views([rng.standard_normal((3, 5))], params)
         mask = M.attention_mask(np.ones((3, 1)))
         normed = ad.layer_norm(emb, params["view_enc.0.ln1_g"], params["view_enc.0.ln1_b"])
-        _, probs = M.masked_attention(normed, mask, params, "view_enc.0")
+        _, probs = attend(normed, mask, params, "view_enc.0")
         np.testing.assert_allclose(probs.data, 1.0)  # 1x1 softmax
 
     def test_masking_invariance_through_depth(self):
@@ -490,3 +493,49 @@ class TestCheckpoint:
         for name in ("array.npy", "no_meta.npz", "short.npz", *malformed):
             with pytest.raises(ValueError, match=name):
                 M.load_checkpoint(tmp_path / name)
+
+    @staticmethod
+    def _as_version_1(params, path, drop=()):
+        """Write params as a version-1 file would hold them: each packed
+        ``wqkv`` split back into ``wq``, ``wk`` and ``wv``, minus ``drop``."""
+        d = params.config.d_e
+        arrays = {}
+        for name, t in params.items():
+            prefix, _, leaf = name.rpartition(".")
+            if leaf == "wqkv":
+                for i, part in enumerate(("wq", "wk", "wv")):
+                    arrays[f"{prefix}.{part}"] = t.data[:, i * d : (i + 1) * d]
+            else:
+                arrays[name] = t.data
+        for name in drop:
+            del arrays[name]
+        meta = {"format": M.CHECKPOINT_FORMAT, "version": 1, "config": asdict(params.config),
+                "view_dims": params.view_dims, "n_labels": params.n_labels,
+                "names": list(arrays)}
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **{f"param:{name}": a for name, a in arrays.items()})
+
+    def test_version_1_loads_by_packing(self, tmp_path):
+        params = tiny_params(layers_v=2, layers_c=2, dtype="float32", seed=3)
+        self._as_version_1(params, tmp_path / "v1.ckpt")
+        loaded = M.load_checkpoint(tmp_path / "v1.ckpt")
+        assert loaded.names() == params.names()
+        for name in params.names():
+            assert loaded[name].data.dtype == params[name].data.dtype
+            np.testing.assert_array_equal(loaded[name].data, params[name].data)
+
+    def test_version_1_without_a_value_weight_raises(self, tmp_path):
+        path = tmp_path / "no_wv.ckpt"
+        self._as_version_1(tiny_params(), path, drop=("cls_enc.0.wv",))
+        with pytest.raises(ValueError, match="no_wv.ckpt.*wv"):
+            M.load_checkpoint(path)
+
+    def test_other_versions_raise(self, tmp_path):
+        good = tmp_path / "good.ckpt"
+        M.save_checkpoint(tiny_params(), good)
+        for version in (0, 3, None):
+            write_with_meta(good, tmp_path / "other.ckpt",
+                            lambda meta, version=version: meta.update(version=version))
+            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+                M.load_checkpoint(tmp_path / "other.ckpt")

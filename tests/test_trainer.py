@@ -183,6 +183,45 @@ class TestRecordLifetime:
         assert all(p.grad is not None for _, p in params.items())
 
 
+class OpTape(Tape):
+    """Tape that keeps each record's primitive name, and the inputs of its
+    ``concat`` records."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = []
+        self.concat_inputs = []
+
+    def record(self, out, inputs, backward):
+        op = backward.__qualname__.split(".")[0]
+        self.ops.append(op)
+        if op == "concat":
+            self.concat_inputs.append(inputs)
+        super().record(out, inputs, backward)
+
+
+class TestRecordsPerStep:
+    def test_no_per_step_weight_packing(self, monkeypatch):
+        """A training step concatenates and reshapes only activations: the
+        packed ``wqkv`` weights are parameters, not rebuilt each step."""
+        tapes = []
+
+        def op_tape():
+            tapes.append(OpTape())
+            return tapes[-1]
+
+        monkeypatch.setattr(trainer_mod, "Tape", op_tape)
+        ds = small_dataset(n=32, m=3, c=4)
+        _, tc = small_configs(epochs=1, batch_size=32)
+        params, _ = train(ModelConfig(d_e=8, heads=2, dtype="float32"), tc, ds)
+        (tape,) = tapes
+        assert tape.ops.count("concat") == 2
+        assert tape.ops.count("reshape") == 2
+        leaves = [p for _, p in params.items()]
+        for inputs in tape.concat_inputs:
+            assert not all(any(x is p for p in leaves) for x in inputs)
+
+
 class TestKeepFreedHeap:
     def test_second_call_is_harmless(self):
         first = trainer_mod.keep_freed_heap()
