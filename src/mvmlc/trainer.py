@@ -85,7 +85,8 @@ def keep_freed_heap() -> bool:
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters and run plumbing."""
+    """Optimization hyperparameters and run plumbing. ``batch_size`` caps a
+    batch: an epoch runs ceil(n / batch_size) batches of near-equal size."""
 
     epochs: int = 200
     batch_size: int = 128
@@ -253,10 +254,11 @@ def train(
 ) -> tuple[ModelParams, RunHistory]:
     """Optimize a fresh model on the dataset; returns (params, history).
 
-    A batch whose label mask is entirely zero is redrawn once; a second
-    degenerate draw aborts. Non-finite losses abort with the failing step in
-    the message. The first call in a process sets glibc's heap thresholds
-    (see the module docstring), which outlive the call.
+    Each epoch runs ``TrainConfig``'s near-equal batches, so no short tail
+    lacks sample pairs; one whose label mask is entirely zero is redrawn
+    once, and a second degenerate draw aborts. Non-finite losses abort with
+    the failing step in the message. The first call in a process sets
+    glibc's heap thresholds (see the module docstring), which outlive it.
     """
     keep_freed_heap()
     seed_seq = np.random.SeedSequence(train_config.seed)
@@ -272,17 +274,12 @@ def train(
     state = AdamState(params)
     history = RunHistory()
     n = dataset.n
-    # a one-row tail joins the batch before it: the pair losses need pairs
-    starts = list(range(0, n, train_config.batch_size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    bounds = list(zip(starts, starts[1:] + [n]))
+    n_batches = math.ceil(n / train_config.batch_size)
 
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(n)
         sums = dict.fromkeys(("loss", "l_mc", "l_gc", "l_ac"), 0.0)
-        for step, (start, stop) in enumerate(bounds):
-            idx = order[start:stop]
+        for step, idx in enumerate(np.array_split(order, n_batches)):
             if dataset.label_mask[idx].sum() == 0:
                 idx = shuffle_rng.choice(n, size=len(idx), replace=False)
                 if dataset.label_mask[idx].sum() == 0:

@@ -227,20 +227,43 @@ class TestTrainEval:
         assert err.splitlines() == [err.strip()] and err.startswith("error: ValueError")
         assert name in err
 
-    def test_warning_raised_as_error_exits_1_with_one_line(self, capsys, tmp_path):
-        # 42 training rows at batch 40 leave a 2-row tail with no valid pair,
-        # whose graph-constraint warning the filter turns into an exception
+    @staticmethod
+    def _masked_run(capsys, tmp_path, seed, error_filter):
+        """The 60-row dataset with views missing at 0.6 and labels at 0.5,
+        trained at batch 40 on its 42 training rows; returns the exit code
+        and stderr."""
         run_cli(capsys, "synth", "--n", "60", "--m", "3", "--c", "4", "--seed", "0",
                 "--out", str(tmp_path / "ds"))
         run_cli(capsys, "corrupt", "--data", str(tmp_path / "ds"), "--view-missing", "0.6",
-                "--seed", "0", "--out", str(tmp_path / "dsm"))
+                "--seed", str(seed), "--out", str(tmp_path / "dsm"))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
+            if error_filter:
+                warnings.simplefilter("error", UserWarning)
             code, _, err = run_cli(capsys, "train", "--data", str(tmp_path / "dsm"),
                                    "--out", str(tmp_path / "run"), "--label-missing", "0.5",
                                    "--batch", "40", "--epochs", "3", "--d-e", "8", "--heads", "2")
+        return code, err
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_tail_batch_without_a_valid_pair(self, capsys, tmp_path, seed):
+        # 42 rows at batch 40 run as 21 + 21, not 40 + a 2-row tail that can
+        # hold no valid pair and so skip the graph constraint with a warning
+        code, err = self._masked_run(capsys, tmp_path, seed, error_filter=True)
+        assert code == 0, err
+
+    def test_warning_raised_as_error_exits_1_with_one_line(self, capsys, tmp_path):
+        # evaluating against the masked training split warns, and the filter
+        # turns that warning into an exception
+        self._masked_run(capsys, tmp_path, 0, error_filter=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            code, _, err = run_cli(capsys, "eval", "--checkpoint",
+                                   str(tmp_path / "run" / "model.ckpt"),
+                                   "--data", str(tmp_path / "run" / "train_data"),
+                                   "--out", str(tmp_path / "ev"))
         assert code == 1
-        assert err.splitlines()[-1].startswith("error: UserWarning: graph constraint skipped")
+        assert err.splitlines()[-1].startswith(
+            "error: UserWarning: evaluating against a dataset with masked labels")
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
     def test_eval_records_the_checkpoint_config(self, capsys, tmp_path):

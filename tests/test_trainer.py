@@ -321,8 +321,9 @@ class TestTrain:
         train(mc, tc, ds)
         assert rows and max(rows) <= tc.batch_size
 
-    @pytest.mark.parametrize("n, batches", [(33, [33]), (65, [32, 33]), (34, [32, 2])])
-    def test_one_row_tail_joins_the_batch_before_it(self, monkeypatch, n, batches):
+    @pytest.mark.parametrize("n, batches", [(32, [32]), (33, [17, 16]), (64, [32, 32]),
+                                            (65, [22, 22, 21]), (34, [17, 17])])
+    def test_batches_split_near_equally(self, monkeypatch, n, batches):
         sizes = []
 
         def recording(views, *args, **kwargs):
