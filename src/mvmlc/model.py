@@ -111,8 +111,9 @@ class ModelParams:
         d = config.d_e
         t: dict[str, Tensor] = {}
 
-        def weight(shape):
-            return Tensor((rng.standard_normal(shape) * 0.02).astype(dt), requires_grad=True)
+        def weight(shape, parts=1):
+            draws = np.concatenate([rng.standard_normal(shape) for _ in range(parts)], axis=1)
+            return Tensor((draws * 0.02).astype(dt), requires_grad=True)
 
         def zeros(shape):
             return Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
@@ -127,8 +128,7 @@ class ModelParams:
             t[f"embed.{v}.b2"] = zeros(d)
 
         def encoder_layer(prefix):
-            wqkv = np.concatenate([rng.standard_normal((d, d)) for _ in range(3)], axis=1)
-            t[f"{prefix}.wqkv"] = Tensor((wqkv * 0.02).astype(dt), requires_grad=True)
+            t[f"{prefix}.wqkv"] = weight((d, d), parts=3)
             t[f"{prefix}.wo"] = weight((d, d))
             t[f"{prefix}.bo"] = zeros(d)
             t[f"{prefix}.ln1_g"] = ones(d)

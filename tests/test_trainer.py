@@ -321,8 +321,8 @@ class TestTrain:
         train(mc, tc, ds)
         assert rows and max(rows) <= tc.batch_size
 
-    @pytest.mark.parametrize("n, batches", [(32, [32]), (33, [17, 16]), (64, [32, 32]),
-                                            (65, [22, 22, 21]), (34, [17, 17])])
+    @pytest.mark.parametrize("n, batches", [(33, [17, 16]), (65, [22, 22, 21]), (34, [17, 17]),
+                                            (32, [32]), (64, [32, 32])])
     def test_batches_split_near_equally(self, monkeypatch, n, batches):
         sizes = []
 
