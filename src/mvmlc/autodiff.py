@@ -84,11 +84,12 @@ numpy's only up to rounding, and like every GEMM here they depend on the
 BLAS thread count. Maxima equal numpy's bit for bit, except that a zero
 maximum may carry either sign. ``tensor_sum`` keeps numpy's sum.
 
-The error function inside ``gelu`` is numpy only for float32: a rational
-approximation evaluated in float32 (``_erf_float32``), within 8 ulp of the
-correctly rounded erf. Float64, the dtype that gradients are verified in,
-uses ``scipy.special.erf``, imported on the first float64 ``gelu`` call, so
-importing this package or running in float32 never loads scipy.
+The error function inside ``gelu`` is one numpy kernel, ``_erf``, for both
+precisions: a rational approximation z P(z^2) / Q(z^2) evaluated in the
+input's dtype, with a coefficient table and clip bound per dtype. It is
+within 8 ulp of the correctly rounded erf in float32 and within 10 ulp in
+float64, the dtype that gradients are verified in. numpy is the only
+runtime dependency.
 """
 
 from __future__ import annotations
@@ -619,45 +620,73 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4], highest degree first: the float32
-# rational approximation of Eigen and XLA. Beyond |z| = 4, erf(z) rounds to
-# +-1 in float32.
-_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-                   -1.60960333262415e-02], dtype=np.float32)
-_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+# erf(z) ~ z * P(z^2) / Q(z^2), highest degree first. Float32 uses the
+# rational approximation of Eigen and XLA on [-4, 4]; beyond |z| = 4, erf(z)
+# rounds to +-1 in float32.
+_ERF_P32 = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                     -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q32 = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+
+# Float64: a degree-(13, 13) rational in t = z^2 on [0, 36], that is |z| <= 6,
+# beyond which erf(z) rounds to +-1 in float64. Fitted to erf(sqrt(t))/sqrt(t)
+# in relative error by Lawson-reweighted linearized least squares (11
+# reweightings, 60-digit mpmath, 278 Chebyshev extrema in s = t/18 - 1, then
+# expanded in t with Q's constant term scaled to 1). Its max relative error
+# in exact arithmetic is 3.0e-18; float64 Horner roundoff, up to ~1e-15
+# absolute near erf = 1, is what bounds the kernel. In float64 the rational
+# rounds to exactly 1 at z = 6.
+_ERF_P64 = np.array([-2.1685059861292734e-19, -2.437583923607552e-16, -5.612812914763312e-15,
+                     2.244563832874947e-12, 1.1775577328416102e-10, 5.450198740044666e-09,
+                     1.3351171432386769e-07, 3.390763515991802e-06, 4.806405164569089e-05,
+                     0.000786839653870046, 0.006139978064063747, 0.06371518801605373,
+                     0.2065767253365735, 1.1283791670955126])
+_ERF_Q64 = np.array([-1.1369196903361172e-17, -2.4828960947212644e-15, 1.6014499650694675e-13,
+                     1.7290762038240204e-11, 8.483465907332628e-10, 2.8055324716403486e-08,
+                     6.9367070521429e-07, 1.3305882197454998e-05, 0.00019984507213736721,
+                     0.0023287471009670463, 0.02047750041273831, 0.1286018450129294,
+                     0.516407189498464, 1.0])
+
+# dtype -> (clip bound for z, P, Q)
+_ERF_TABLES = {
+    np.dtype(np.float32): (4.0, _ERF_P32, _ERF_Q32),
+    np.dtype(np.float64): (6.0, _ERF_P64, _ERF_Q64),
+}
 
 
 # Elements per pass of the erf kernel. Whole-array temporaries go back to the
 # OS when freed and page-fault on every call (~1300 faults for a (128, 21, 128)
-# input, doubling its time); blocks this size keep the three scratch buffers
-# (64 KiB each) in cache and off that path.
+# float32 input, doubling its time); blocks this size keep the three scratch
+# buffers (64 KiB each in float32, 128 KiB in float64) in cache and off that
+# path.
 _ERF_BLOCK = 16384
 
 
-def _erf_float32(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """erf(scale * z) of a float32 array in float32, within 8 ulp of the
-    rounded erf of the float32 product.
+def _erf(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """erf(scale * z) of a float32 or float64 array, in its own dtype.
 
-    Exactly odd, exact at +-0 and +-inf (+-1), NaN in NaN out. Dividing
-    P by Q before multiplying by z keeps subnormal inputs within 1 ulp. In
-    float32 the rational exceeds 1 by up to 2 ulp on [3.6, 4), so the result
-    is clipped to [-1, 1]. The product is rounded to float32 block by block,
-    exactly as a whole-array ``z * scale`` would be, without building one.
+    Within 8 ulp (float32) or 10 ulp (float64) of the rounded erf of the
+    product. Exactly odd, exact at +-0 and +-inf (+-1), NaN in NaN out.
+    Dividing P by Q before multiplying by z keeps subnormal inputs within
+    1 ulp. The rational may exceed 1 by an ulp or two near the clip bound,
+    so the result is clipped to [-1, 1]. The product is rounded to z's dtype
+    block by block, exactly as a whole-array ``z * scale`` would be, without
+    building one.
     """
-    flat = np.ascontiguousarray(z, dtype=np.float32).reshape(-1)
-    scale = np.float32(scale)
+    flat = np.ascontiguousarray(z).reshape(-1)
+    bound, p_coefs, q_coefs = _ERF_TABLES[flat.dtype]
+    scale = flat.dtype.type(scale)
     out = np.empty_like(flat)
-    scratch = [np.empty(min(flat.size, _ERF_BLOCK), dtype=np.float32) for _ in range(3)]
+    scratch = [np.empty(min(flat.size, _ERF_BLOCK), dtype=flat.dtype) for _ in range(3)]
     for start in range(0, flat.size, _ERF_BLOCK):
         p = out[start : start + _ERF_BLOCK]
         zc, z2, q = (buf[: p.size] for buf in scratch)
         np.multiply(flat[start : start + p.size], scale, out=zc)
-        np.clip(zc, -4.0, 4.0, out=zc)
+        np.clip(zc, -bound, bound, out=zc)
         np.multiply(zc, zc, out=z2)
-        _horner(_ERF_P, z2, p)
-        p /= _horner(_ERF_Q, z2, q)
+        _horner(p_coefs, z2, p)
+        p /= _horner(q_coefs, z2, q)
         p *= zc
         np.clip(p, -1.0, 1.0, out=p)
     return out.reshape(np.shape(z))
@@ -676,20 +705,13 @@ def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF.
 
-    A float32 input takes erf from ``_erf_float32`` (within 8 ulp of the
-    rounded erf; GELU itself within 8 ulp of |x| of the float64 value). A
-    float64 input takes ``scipy.special.erf``, imported here on first use so
-    that float32 runs never load scipy.
+    erf comes from ``_erf`` in the input's dtype: within 8 ulp in float32
+    (GELU itself within 8 ulp of |x| of the float64 value) and 10 ulp in
+    float64.
     """
     a = _as_tensor(a)
     x = a.data
-    if x.dtype == np.float32:
-        cdf = _erf_float32(x, _INV_SQRT2)
-    else:
-        from scipy.special import erf
-
-        cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
-        erf(cdf, out=cdf)
+    cdf = _erf(x, _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
 

@@ -366,18 +366,19 @@ class TestSubprocessEntry:
         assert result.returncode == 0
         assert json.loads(result.stdout)["n"] == 20
 
-    def test_float32_train_and_eval_never_import_scipy(self, tmp_path):
-        # scipy's erf serves float64 only; float32 gelu runs on a numpy kernel
+    def test_train_and_eval_never_import_scipy(self, tmp_path):
+        # gelu's erf is a numpy kernel in both precisions
         script = """
 import sys
-import warnings
 import numpy as np
 from mvmlc import data, trainer
 from mvmlc.model import ModelConfig
 ds = data.make_synthetic(40, 2, 4, 3, [6, 5], seed=0)
-params, _ = trainer.train(ModelConfig(d_e=8, heads=2), trainer.TrainConfig(epochs=1, batch_size=16), ds)
-assert params["cls"].data.dtype == np.float32
-trainer.evaluate(params, ds)
+for dtype in ("float32", "float64"):
+    config = ModelConfig(d_e=8, heads=2, dtype=dtype)
+    params, _ = trainer.train(config, trainer.TrainConfig(epochs=1, batch_size=16), ds)
+    assert params["cls"].data.dtype == np.dtype(dtype)
+    trainer.evaluate(params, ds)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
         src = str(Path(mvmlc.__file__).resolve().parent.parent)
