@@ -419,29 +419,30 @@ def save_checkpoint(params: ModelParams, path) -> None:
                  **arrays)
 
 
-def _pack_qkv(arrays: dict[str, np.ndarray], path) -> dict[str, np.ndarray]:
-    """Pack each version-1 ``{prefix}.wq``/``wk``/``wv`` triple into
-    ``{prefix}.wqkv``, in ``wq``'s place; a partial triple raises ValueError."""
+def _pack_qkv(arrays: dict[str, np.ndarray], path) -> None:
+    """Replace each version-1 ``{prefix}.wq``/``wk``/``wv`` triple in
+    ``arrays`` with ``{prefix}.wqkv``, the three side by side; a partial
+    triple raises ValueError."""
     parts = ("wq", "wk", "wv")
-    packed = {}
-    for name, array in arrays.items():
-        prefix, _, leaf = name.rpartition(".")
-        if leaf not in parts:
-            packed[name] = array
-        elif f"{prefix}.wqkv" not in packed:
-            triple = [f"{prefix}.{part}" for part in parts]
-            missing = [part for part in triple if part not in arrays]
-            if missing:
-                raise ValueError(f"{path} lacks parameters of a version-1 layer: {missing}")
-            packed[f"{prefix}.wqkv"] = np.concatenate([arrays[part] for part in triple], axis=1)
-    return packed
+    prefixes = dict.fromkeys(name.rpartition(".")[0] for name in arrays
+                             if name.rpartition(".")[2] in parts)
+    for prefix in prefixes:
+        triple = [f"{prefix}.{part}" for part in parts]
+        missing = [name for name in triple if name not in arrays]
+        if missing:
+            raise ValueError(f"{path} lacks parameters of a version-1 layer: {missing}")
+        arrays[f"{prefix}.wqkv"] = np.concatenate([arrays.pop(name) for name in triple], axis=1)
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file; a file of any other layout, or a
     header that lacks a field or whose config keys differ from
-    ``ModelConfig``'s, raises ValueError naming it. Version-1 files, with
-    unpacked Q/K/V weights, load with a fresh model's names (``_pack_qkv``)."""
+    ``ModelConfig``'s, raises ValueError naming it. The parameters must have
+    the names, shapes and dtypes of ``ModelParams.initialize`` for the
+    header's config, view dims and label count: they are copied into such a
+    fresh model, and the first that does not fit raises ValueError naming
+    it. Version-1 files, with unpacked Q/K/V weights, load by packing
+    (``_pack_qkv``)."""
     bundle = np.load(path)
     if not isinstance(bundle, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
@@ -466,8 +467,18 @@ def load_checkpoint(path) -> ModelParams:
         missing = [name for name in names if f"param:{name}" not in bundle.files]
         if missing:
             raise ValueError(f"{path} lists parameters it does not hold: {missing}")
-        arrays = {name: bundle[f"param:{name}"].copy() for name in names}
+        arrays = {name: bundle[f"param:{name}"] for name in names}
     if version == 1:
-        arrays = _pack_qkv(arrays, path)
-    tensors = {name: Tensor(array, requires_grad=True) for name, array in arrays.items()}
-    return ModelParams(config, view_dims, n_labels, tensors)
+        _pack_qkv(arrays, path)
+    params = ModelParams.initialize(config, view_dims, n_labels)
+    for name, t in params.items():
+        array = arrays.pop(name, None)
+        if array is None:
+            raise ValueError(f"{path} lacks parameter {name!r}")
+        if array.shape != t.data.shape or array.dtype != t.data.dtype:
+            raise ValueError(f"{path}: parameter {name!r} is {array.dtype} {array.shape}, "
+                             f"the model needs {t.data.dtype} {t.data.shape}")
+        t.data[...] = array
+    if arrays:
+        raise ValueError(f"{path} holds parameters the model does not have: {list(arrays)}")
+    return params

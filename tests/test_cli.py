@@ -36,22 +36,41 @@ def synth_args(out, n=40, m=2, c=4, seed=3, dims="6,5"):
 
 
 def _edited_checkpoint(path, edit):
-    """Write a real checkpoint to ``path`` with ``edit`` applied to its header."""
+    """Write a real checkpoint to ``path`` with ``edit`` applied to its
+    parsed header and its arrays."""
     save_checkpoint(ModelParams.initialize(ModelConfig(d_e=8, heads=2), [6, 5], 4), path)
     with np.load(path) as bundle:
         arrays = {key: bundle[key] for key in bundle.files}
     meta = json.loads(arrays.pop("__meta__").tobytes())
-    edit(meta)
+    edit(meta, arrays)
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def unknown_config_key(path, _array):
-    _edited_checkpoint(path, lambda meta: meta["config"].update(d_model=8))
+    _edited_checkpoint(path, lambda meta, arrays: meta["config"].update(d_model=8))
 
 
 def without_names(path, _array):
-    _edited_checkpoint(path, lambda meta: meta.pop("names"))
+    _edited_checkpoint(path, lambda meta, arrays: meta.pop("names"))
+
+
+def without_a_parameter(path, _array):
+    def edit(meta, arrays):
+        meta["names"].remove("cls_enc.0.wo")
+        del arrays["param:cls_enc.0.wo"]
+    _edited_checkpoint(path, edit)
+
+
+def with_a_narrow_gain(path, _array):
+    # a (1,) gain would broadcast over the (d_e,) it stands for
+    _edited_checkpoint(path, lambda meta, arrays: arrays.update(
+        {"param:view_enc.0.ln1_g": np.ones(1, dtype=np.float32)}))
+
+
+def with_a_float64_weight(path, _array):
+    _edited_checkpoint(path, lambda meta, arrays: arrays.update(
+        {"param:head_main.w": arrays["param:head_main.w"].astype(np.float64)}))
 
 
 class TestSynth:
@@ -217,7 +236,10 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("name, write", [("array.npy", np.save), ("no_meta.npz", np.savez),
                                              ("extra.ckpt", unknown_config_key),
-                                             ("nameless.ckpt", without_names)])
+                                             ("nameless.ckpt", without_names),
+                                             ("dropped.ckpt", without_a_parameter),
+                                             ("narrow.ckpt", with_a_narrow_gain),
+                                             ("float64.ckpt", with_a_float64_weight)])
     def test_eval_of_a_malformed_checkpoint_exits_1(self, capsys, tmp_path, name, write):
         run_cli(capsys, *synth_args(tmp_path / "ds"))
         write(tmp_path / name, np.zeros(3))
