@@ -86,7 +86,10 @@ def keep_freed_heap() -> bool:
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters and run plumbing. ``batch_size`` caps a
-    batch: an epoch runs ceil(n / batch_size) batches of near-equal size."""
+    batch: an epoch of n rows runs ceil(n / batch_size) batches of
+    near-equal size, but never more than n // 2 (and at least one), so no
+    batch has a single row. The cap binds only at batch_size 2 with n odd,
+    where one batch of 3 rows takes the place of a one-row tail."""
 
     epochs: int = 200
     batch_size: int = 128
@@ -254,11 +257,12 @@ def train(
 ) -> tuple[ModelParams, RunHistory]:
     """Optimize a fresh model on the dataset; returns (params, history).
 
-    Each epoch runs ``TrainConfig``'s near-equal batches, so no short tail
-    lacks sample pairs; one whose label mask is entirely zero is redrawn
-    once, and a second degenerate draw aborts. Non-finite losses abort with
-    the failing step in the message. The first call in a process sets
-    glibc's heap thresholds (see the module docstring), which outlive it.
+    Each epoch runs ``TrainConfig``'s near-equal batches, at most n // 2
+    of them, so no short tail lacks sample pairs; one whose label mask is
+    entirely zero is redrawn once, and a second degenerate draw aborts.
+    Non-finite losses abort with the failing step in the message. The
+    first call in a process sets glibc's heap thresholds (see the module
+    docstring), which outlive it.
     """
     keep_freed_heap()
     seed_seq = np.random.SeedSequence(train_config.seed)
@@ -274,7 +278,7 @@ def train(
     state = AdamState(params)
     history = RunHistory()
     n = dataset.n
-    n_batches = math.ceil(n / train_config.batch_size)
+    n_batches = max(1, min(math.ceil(n / train_config.batch_size), n // 2))
 
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(n)

@@ -321,9 +321,9 @@ class TestTrain:
         train(mc, tc, ds)
         assert rows and max(rows) <= tc.batch_size
 
-    @pytest.mark.parametrize("n, batches", [(33, [17, 16]), (65, [22, 22, 21]), (34, [17, 17]),
-                                            (32, [32]), (64, [32, 32])])
-    def test_batches_split_near_equally(self, monkeypatch, n, batches):
+    @staticmethod
+    def _batch_sizes(monkeypatch, n, batch_size):
+        """Rows per step of a one-epoch run on n rows, which must not warn."""
         sizes = []
 
         def recording(views, *args, **kwargs):
@@ -331,11 +331,21 @@ class TestTrain:
             return M.forward(views, *args, **kwargs)
 
         monkeypatch.setattr(trainer_mod, "forward", recording)
-        mc, tc = small_configs(epochs=1, batch_size=32)
+        mc, tc = small_configs(epochs=1, batch_size=batch_size)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "graph constraint skipped"
             train(mc, tc, small_dataset(n=n))
+        return sizes
+
+    @pytest.mark.parametrize("n, batches", [(33, [17, 16]), (65, [22, 22, 21]), (34, [17, 17]),
+                                            (32, [32]), (64, [32, 32])])
+    def test_batches_split_near_equally(self, monkeypatch, n, batches):
+        sizes = self._batch_sizes(monkeypatch, n, 32)
         assert sizes == batches and sum(sizes) == n
+
+    def test_batch_of_two_never_runs_a_one_row_step(self, monkeypatch):
+        # ceil(5 / 2) = 3 batches would be [2, 2, 1]; at most 5 // 2 = 2 run
+        assert self._batch_sizes(monkeypatch, 5, 2) == [3, 2]
 
     def test_degenerate_label_mask_aborts(self):
         ds = small_dataset(n=20)
