@@ -1,35 +1,44 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-A Tensor wraps a float32/float64 ndarray plus a gradient slot. While a Tape
-is active (``with Tape() as tape:``), every primitive whose output depends on
-a gradient-requiring tensor appends an (output, inputs, backward_fn) record.
-Execution order is already a topological order of the DAG, so
+A Tensor wraps a float32/float64 ndarray plus a gradient slot, a small
+``Node`` that ``Tensor.grad`` reads and sets. While a Tape is active
+(``with Tape() as tape:``), every primitive whose output depends on a
+gradient-requiring tensor appends an (output slot, input slots, backward_fn)
+record. Execution order is already a topological order of the DAG, so
 ``tape.backward(loss)`` walks the records once in reverse and accumulates
-gradients additively into every tensor on a path to a ``requires_grad`` leaf.
+gradients additively into every slot on a path to a ``requires_grad`` leaf.
 
 Running primitives with no active tape is forward-only: nothing is recorded
 and outputs never require gradients. Inference and finite-difference probes
 rely on this mode.
 
-Tensors are treated as immutable after construction; gradient arrays are
+Tensors are treated as immutable after construction: a backward closure
+captures the arrays it reads when the record is made, not the tensors, so
+rebinding a tensor's ``.data`` later does not reach it. Gradient arrays are
 never mutated in place, only rebound, so sharing buffers between records is
 safe. The one writer is the optimizer, which updates parameter data in
 place between steps, after the tape that read it has been consumed.
 
-Record lifetime: ``Tape.backward`` pops each record off the tape before it
-runs the record's backward closure, so the tape is empty once the sweep
-ends. A record holds its output, its inputs and a closure over the arrays
-the backward reads; dropping it frees all of them, and an intermediate
-tensor that the caller no longer holds goes with its ``.grad`` during the
-sweep rather than when the tape does, so a step's activations are not
-held next to all of their gradients at its end. A tensor the caller still
-holds keeps its gradient, and the arithmetic and its order are
-those of a plain reverse walk, so results are the same bit for bit.
+Record lifetime: a record holds no Tensor. It holds the output's gradient
+slot, one slot per input that requires a gradient, and a closure over only
+the arrays, shapes and flags its backward reads, as PyTorch's
+``save_for_backward`` keeps only what a backward saves. So an activation
+whose data no backward reads, such as the input of ``dropout`` or of an
+addition, is freed as soon as the caller drops it, during the forward pass,
+and a step retains only what its backward needs. ``Tape.backward`` pops
+each record off the tape before it runs the record's closure, so the tape
+is empty once the sweep ends, and the saved arrays and the gradient of an
+intermediate the caller no longer holds go during the sweep rather than
+when the tape does. A tensor the caller still holds keeps its gradient,
+and the arithmetic and its order are those of a plain reverse walk, so
+results are the same bit for bit.
 
-Constant operands: the backward of ``add``, ``sub``, ``mul``, ``div`` and
-``matmul``, and ``linear``'s for its input ``x``, returns None and computes
-nothing for an operand whose ``requires_grad`` is False, such as a scalar,
-a label array or a data batch.
+Constant operands: an input's ``requires_grad`` is read when the record is
+made. The backward of ``add``, ``sub``, ``mul``, ``div`` and ``matmul``,
+and ``linear``'s for its input ``x``, returns None and computes nothing for
+an operand whose ``requires_grad`` is False, such as a scalar, a label
+array or a data batch; ``mul``, ``div`` and ``matmul`` keep an operand's
+data only when a gradient that reads it is wanted.
 
 Dtype rule: in the binary primitives (``add``, ``sub``, ``mul``, ``div`` and
 their operators, reflected ones included) an operand that is not a Tensor,
@@ -115,18 +124,35 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 MASK_FILL = -1e9
 
 
+class Node:
+    """A tensor's gradient slot, which tape records hold instead of the tensor."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """Dense real tensor with an optional accumulated-gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "node", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
-        self.grad: np.ndarray | None = None
+        self.node = Node()
         self.requires_grad = bool(requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None):
+        self.node.grad = value
 
     @property
     def shape(self):
@@ -202,14 +228,15 @@ def _active_tape() -> "Tape | None":
 class Tape:
     """Execution-ordered record of primitive applications.
 
-    Each record holds the output tensor, its input tensors, and a closure
-    mapping the output gradient to per-input gradients. Appending in
-    execution order guarantees every input of a record precedes it, so one
-    reverse sweep visits each record exactly once.
+    Each record holds the output's gradient slot, one slot per input (None
+    for an input that does not require a gradient), and a closure mapping
+    the output gradient to per-input gradients. Appending in execution order
+    guarantees every input of a record precedes it, so one reverse sweep
+    visits each record exactly once.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[Node, tuple[Node | None, ...], Callable]] = []
         self._used = False
 
     def __enter__(self) -> "Tape":
@@ -224,15 +251,16 @@ class Tape:
         return len(self._records)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable):
-        self._records.append((out, inputs, backward))
+        slots = tuple(t.node if t.requires_grad else None for t in inputs)
+        self._records.append((out.node, slots, backward))
 
     def backward(self, loss: Tensor):
         """Accumulate dloss/dt into t.grad for every recorded tensor t that is
         still reachable, and every ``requires_grad`` leaf.
 
         Each record is dropped as it is used, so the tape is empty afterwards
-        and an intermediate nobody holds is freed during the sweep, gradient
-        included. A second call raises ``DoubleBackward``.
+        and the gradient of an intermediate nobody holds is freed during the
+        sweep. A second call raises ``DoubleBackward``.
         """
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss has shape {loss.data.shape}; expected a scalar")
@@ -243,16 +271,16 @@ class Tape:
             loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
-            # popped before it runs: its closure, and an output nobody else
-            # holds, are freed when the next iteration rebinds these names
+            # popped before it runs: its closure, and a gradient slot nobody
+            # else holds, are freed when the next iteration rebinds these names
             out, inputs, backward_fn = records.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
-            for tensor, grad in zip(inputs, grads):
-                if grad is None or not tensor.requires_grad:
+            for node, grad in zip(inputs, grads):
+                if node is None or grad is None:
                     continue
-                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+                node.grad = grad if node.grad is None else node.grad + grad
 
 
 def _as_tensor(value) -> Tensor:
@@ -346,31 +374,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, shape_a) if need_a else None,
+                _unbroadcast(g, shape_b) if need_b else None)
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, shape_a) if need_a else None,
+                _unbroadcast(-g, shape_b) if need_b else None)
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # each gradient reads the other operand: keep an operand only if it is read
+    data_a = a.data if need_b else None
+    data_b = b.data if need_a else None
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g * data_b, shape_a) if need_a else None,
+            _unbroadcast(g * data_a, shape_b) if need_b else None,
         )
 
     return _make(a.data * b.data, (a, b), backward)
@@ -378,12 +415,16 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # both gradients read the divisor, only b's reads the dividend
+    data_a = a.data if need_b else None
+    data_b = b.data
 
     def backward(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if b.requires_grad else None,
+            _unbroadcast(g / data_b, shape_a) if need_a else None,
+            _unbroadcast(-g * data_a / (data_b * data_b), shape_b) if need_b else None,
         )
 
     return _make(a.data / b.data, (a, b), backward)
@@ -401,12 +442,13 @@ def neg(a) -> Tensor:
 def power(a, exponent: float) -> Tensor:
     """Elementwise a**exponent for a scalar exponent."""
     a = _as_tensor(a)
+    x = a.data
     e = float(exponent)
 
     def backward(g):
-        return (g * e * np.power(a.data, e - 1.0),)
+        return (g * e * np.power(x, e - 1.0),)
 
-    return _make(np.power(a.data, e), (a,), backward)
+    return _make(np.power(x, e), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +476,16 @@ def matmul(a, b) -> Tensor:
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
 
+    shape_a, shape_b = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # each gradient reads the other operand: keep an operand only if it is read
+    data_a = a.data if need_b else None
+    data_b = b.data if need_a else None
+
     def backward(g):
         return (
-            _unbroadcast(g @ _swap_last(b.data), a.data.shape) if a.requires_grad else None,
-            _unbroadcast(_swap_last(a.data) @ g, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g @ _swap_last(data_b), shape_a) if need_a else None,
+            _unbroadcast(_swap_last(data_a) @ g, shape_b) if need_b else None,
         )
 
     return _make(a.data @ b.data, (a, b), backward)
@@ -457,25 +505,27 @@ def linear(x, w, b=None) -> Tensor:
             f"linear needs (..., k) @ (k, m), got {x.data.shape} @ {w.data.shape}"
         )
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    out = x2 @ w.data
+    w_data = w.data
+    out = x2 @ w_data
     inputs = (x, w)
     if b is not None:
         b = _as_tensor(b)
-        if b.data.shape != w.data.shape[1:]:
+        if b.data.shape != w_data.shape[1:]:
             raise DimensionMismatch(
-                f"linear bias has shape {b.data.shape}; expected {w.data.shape[1:]}"
+                f"linear bias has shape {b.data.shape}; expected {w_data.shape[1:]}"
             )
         out += b.data
         inputs = (x, w, b)
+    shape_x, need_x, has_bias = x.data.shape, x.requires_grad, b is not None
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         # a layer's input is often data, whose gradient nobody reads
-        g_x = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        g_x = (g2 @ w_data.T).reshape(shape_x) if need_x else None
         grads = (g_x, x2.T @ g2)
-        return grads if b is None else grads + (_sum_leading(g2, 1),)
+        return grads + (_sum_leading(g2, 1),) if has_bias else grads
 
-    return _make(out.reshape(x.data.shape[:-1] + w.data.shape[1:]), inputs, backward)
+    return _make(out.reshape(shape_x[:-1] + w_data.shape[1:]), inputs, backward)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -501,9 +551,10 @@ def reshape(a, shape) -> Tensor:
 
 def broadcast_to(a, shape) -> Tensor:
     a = _as_tensor(a)
+    old_shape = a.data.shape
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape),)
+        return (_unbroadcast(g, old_shape),)
 
     return _make(np.broadcast_to(a.data, shape), (a,), backward)
 
@@ -521,9 +572,10 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
+    count = len(parts)
 
     def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
+        return tuple(np.take(g, i, axis=axis) for i in range(count))
 
     return _make(np.stack([p.data for p in parts], axis=axis), tuple(parts), backward)
 
@@ -531,9 +583,10 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
 def take(a, key) -> Tensor:
     """Basic (non-fancy) indexing; gradient scatters back into zeros."""
     a = _as_tensor(a)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype)
         ga[key] = g
         return (ga,)
 
@@ -542,12 +595,13 @@ def take(a, key) -> Tensor:
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    shape = a.data.shape
 
     def backward(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape),)
+        return (np.broadcast_to(gg, shape),)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -579,11 +633,12 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
+    x = a.data
 
     def backward(g):
-        return (g / a.data,)
+        return (g / x,)
 
-    return _make(np.log(a.data), (a,), backward)
+    return _make(np.log(x), (a,), backward)
 
 
 def sqrt(a) -> Tensor:
@@ -846,7 +901,7 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
 
     def backward(g):
         g_heads = g.reshape(n, r, heads, d_h).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((n, t, 3, heads, d_h), dtype=qkv.data.dtype)
+        g_qkv = np.empty((n, t, 3, heads, d_h), dtype=scale.dtype)
         # the products land in (n, heads, t, d_h) views of the packed gradient
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
         np.matmul(_swap_last(p), g_heads, out=g_v)
@@ -1021,19 +1076,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var /= d
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat *= inv_std
-    out_data = x_hat * gain.data
+    gain_data, bias_shape = gain.data, bias.data.shape
+    out_data = x_hat * gain_data
     out_data += bias.data
 
     def backward(g):
         # inv_std * (g_x - mean(g_x) - x_hat * mean(g_x * x_hat)), g_x = g * gain
-        g_x = g * gain.data
+        g_x = g * gain_data
         work = g_x * x_hat
         proj = _sum_last(work) / d
         g_x -= _sum_last(g_x) / d
         g_x -= np.multiply(x_hat, proj, out=work)
         g_x *= inv_std
-        g_gain = _unbroadcast(np.multiply(g, x_hat, out=work), gain.data.shape)
-        return g_x, g_gain, _unbroadcast(g, bias.data.shape)
+        g_gain = _unbroadcast(np.multiply(g, x_hat, out=work), gain_data.shape)
+        return g_x, g_gain, _unbroadcast(g, bias_shape)
 
     return _make(out_data, (x, gain, bias), backward)
 

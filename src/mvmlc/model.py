@@ -250,10 +250,12 @@ def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng,
 def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
     """Output projection, attention residual, and the pre-norm MLP residual."""
     cfg = params.config
-    attended = ad.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    x = x + ad.dropout(attended, cfg.dropout, rng)
-    normed = ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"])
-    return x + _mlp_block(normed, params, f"{prefix}.mlp_", rng)
+    # no name on the projection or the normed stream: when no backward reads
+    # their data, it is freed as soon as the next primitive has consumed it
+    x = x + ad.dropout(ad.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"]),
+                       cfg.dropout, rng)
+    return x + _mlp_block(ad.layer_norm(x, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]),
+                          params, f"{prefix}.mlp_", rng)
 
 
 def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
@@ -275,14 +277,18 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
     n, d = fused.shape
     c = params.n_labels
     cls = params["cls"]
-    tokens = fused.reshape((n, 1, d))
-    if queries != 1:
-        tokens = ad.concat([tokens, ad.broadcast_to(cls, (n, c, d))], axis=1)
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
                            params[f"{prefix}.ln1_b"])
-    proj = ad.linear(normed, params[f"{prefix}.wqkv"])
-    mixed = ad.shared_token_attention(proj, n, params.config.heads, queries)
-    return _encoder_tail(_query_rows(tokens, queries), mixed, params, prefix, rng)
+    mixed = ad.shared_token_attention(ad.linear(normed, params[f"{prefix}.wqkv"]), n,
+                                      params.config.heads, queries)
+    # The (n, c + 1, d) residual stream is built after the attention's
+    # temporaries are gone and handed on unnamed: no backward reads it, so
+    # the tail frees it at its first residual.
+    first = fused.reshape((n, 1, d))
+    return _encoder_tail(
+        first if queries == 1
+        else _query_rows(ad.concat([first, ad.broadcast_to(cls, (n, c, d))], axis=1), queries),
+        mixed, params, prefix, rng)
 
 
 def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams, rng=None) -> Tensor:

@@ -16,10 +16,13 @@ for the history; ``total_loss`` leaves a zero-weight term out of the sum, so
 its records get no gradient and backward skips them. A zero-alpha run thus
 updates parameters exactly like a run that never builds the graph term.
 
-Heap: ``Tape.backward`` frees each step's activations during the sweep,
-and the next step allocates them again. So that glibc reuses that memory
-instead of faulting it in anew each step, ``train`` sets two ``mallopt``
-values once per process, through ``ctypes``:
+Heap: a step's activations are freed within the step, and the next step
+allocates them again. Those no backward reads go during the forward pass,
+as soon as the model drops them, because tape records hold gradient slots
+and saved arrays, not tensors; ``Tape.backward`` frees the rest during its
+sweep. So that glibc reuses that memory instead of faulting it in anew each
+step, ``train`` sets two ``mallopt`` values once per process, through
+``ctypes``:
 
 - ``M_TRIM_THRESHOLD`` at 1 GiB: up to 1 GiB of freed heap stays resident
   instead of going back to the kernel.

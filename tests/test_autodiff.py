@@ -900,6 +900,99 @@ class TestConstantOperands:
         assert grad.shape == (6,)
 
 
+def held_tensors(obj, seen=None):
+    """Every Tensor reachable from ``obj`` through tuples, lists, dicts,
+    gradient slots and the closure cells of functions."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, ad.Tensor):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, ad.Node):
+        children = [obj.grad]
+    elif callable(obj) and hasattr(obj, "__code__"):
+        children = [cell.cell_contents for cell in obj.__closure__ or ()]
+        children += list(obj.__defaults__ or ())
+    else:
+        return []
+    return [t for child in children for t in held_tensors(child, seen)]
+
+
+def _leaf(rng, *shape):
+    return ad.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True)
+
+
+# Each builds one primitive's records from leaves that all require a gradient.
+RECORDING_BUILDS = {
+    "add": lambda r: ad.add(_leaf(r, 3, 4), _leaf(r, 4)),
+    "sub": lambda r: ad.sub(_leaf(r, 3, 4), _leaf(r, 4)),
+    "mul": lambda r: ad.mul(_leaf(r, 3, 4), _leaf(r, 4)),
+    "div": lambda r: ad.div(_leaf(r, 3, 4), _leaf(r, 4)),
+    "scalar_operand": lambda r: 1.0 - 2.0 * _leaf(r, 3) / 3.0,
+    "neg": lambda r: ad.neg(_leaf(r, 3)),
+    "power": lambda r: ad.power(_leaf(r, 3), 3.0),
+    "matmul": lambda r: ad.matmul(_leaf(r, 2, 3, 4), _leaf(r, 4, 5)),
+    "linear": lambda r: ad.linear(_leaf(r, 2, 3, 4), _leaf(r, 4, 5), _leaf(r, 5)),
+    "linear_no_bias": lambda r: ad.linear(_leaf(r, 3, 4), _leaf(r, 4, 5)),
+    "transpose": lambda r: ad.transpose(_leaf(r, 2, 3, 4), (1, 0, 2)),
+    "reshape": lambda r: ad.reshape(_leaf(r, 2, 3), (3, 2)),
+    "broadcast_to": lambda r: ad.broadcast_to(_leaf(r, 1, 3), (4, 3)),
+    "concat": lambda r: ad.concat([_leaf(r, 2, 3), _leaf(r, 1, 3)], axis=0),
+    "stack": lambda r: ad.stack([_leaf(r, 2, 3), _leaf(r, 2, 3)], axis=1),
+    "take": lambda r: _leaf(r, 3, 4)[1:, 2],
+    "tensor_sum": lambda r: ad.tensor_sum(_leaf(r, 3, 4), axis=1),
+    "tensor_mean": lambda r: ad.tensor_mean(_leaf(r, 3, 4), axis=0),
+    "exp": lambda r: ad.exp(_leaf(r, 3)),
+    "log": lambda r: ad.log(_leaf(r, 3)),
+    "sqrt": lambda r: ad.sqrt(_leaf(r, 3)),
+    "sigmoid": lambda r: ad.sigmoid(_leaf(r, 3)),
+    "gelu": lambda r: ad.gelu(_leaf(r, 3)),
+    "clamp": lambda r: ad.clamp(_leaf(r, 3), 0.8, 1.5),
+    "clamp_min": lambda r: ad.clamp_min(_leaf(r, 3), 1.0),
+    "softmax": lambda r: ad.softmax(_leaf(r, 2, 3)),
+    "masked_softmax": lambda r: ad.masked_softmax(_leaf(r, 2, 3), np.array([1, 0, 1])),
+    "attention": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, np.ones((2, 1, 3)))[0],
+    "attention_queries": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, queries=1)[0],
+    "shared_token_attention": lambda r: ad.shared_token_attention(_leaf(r, 5, 12), 2, 2),
+    "bce_with_logits": lambda r: ad.bce_with_logits(_leaf(r, 2, 3), np.eye(2, 3),
+                                                    np.ones((2, 3))),
+    "layer_norm": lambda r: ad.layer_norm(_leaf(r, 2, 4), _leaf(r, 4), _leaf(r, 4)),
+    "dropout": lambda r: ad.dropout(_leaf(r, 40), 0.5, np.random.default_rng(0)),
+}
+
+
+class TestRecordContents:
+    """A record keeps gradient slots and the arrays its backward reads, so
+    an activation nobody reads dies with its last name, not with the tape."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDING_BUILDS))
+    def test_no_record_holds_a_tensor(self, name):
+        with ad.Tape() as tape:
+            out = RECORDING_BUILDS[name](np.random.default_rng(41))
+            records = list(tape._records)
+            assert records
+            assert held_tensors(records) == []
+            tape.backward(out.sum())
+
+    def test_unread_activation_dies_before_backward(self):
+        rng = np.random.default_rng(42)
+        x, w, b = _leaf(rng, 6, 4), _leaf(rng, 4, 5), _leaf(rng, 5)
+        with ad.Tape() as tape:
+            hidden = ad.linear(x, w, b)
+            # dropout's backward reads its mask, not its input
+            out = ad.dropout(hidden, 0.5, np.random.default_rng(0))
+            hidden_data = weakref.ref(hidden.data)
+            del hidden
+            assert hidden_data() is None
+            tape.backward(out.sum())
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape and b.grad.shape == b.shape
+
+
 class TestShapeOps:
     def test_concat_stack_take_gradients(self):
         rng = np.random.default_rng(12)

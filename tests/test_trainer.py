@@ -155,31 +155,49 @@ class TestPrecision:
             assert p.dtype == state.m[name].dtype == state.v[name].dtype == want
 
 
+def traced_step(ds, mc):
+    """Traced heap after one float32 forward pass plus objective, handed
+    straight to the objective as ``train`` does, and backward's peak and
+    leftover, all relative to the heap before the pass; and the parameters."""
+    params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
+    t, u = losses.label_similarity(ds.labels, ds.label_mask)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = trainer_mod.objective(M.forward(ds.views, ds.view_mask, params, rng=rng),
+                                         ds.labels, ds.label_mask, ds.view_mask, t, u,
+                                         10.0, 0.1)[0]
+            retained = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained, peak - base, current - base, params
+
+
 class TestRecordLifetime:
     def test_backward_frees_the_forward_as_it_goes(self):
-        """One float32 step, the forward pass handed straight to the
-        objective as ``train`` does: backward's traced peak stays near what
-        the forward retained, and almost none of that is left afterwards."""
+        """One float32 step: backward's traced peak stays near what the
+        forward retained, and almost none of that is left afterwards."""
         ds = small_dataset(n=64, m=3, c=8)
         mc = ModelConfig(d_e=32, heads=2, dtype="float32")
-        params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
-        t, u = losses.label_similarity(ds.labels, ds.label_mask)
-        rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            with Tape() as tape:
-                loss = trainer_mod.objective(M.forward(ds.views, ds.view_mask, params, rng=rng),
-                                             ds.labels, ds.label_mask, ds.view_mask, t, u,
-                                             10.0, 0.1)[0]
-                retained = tracemalloc.get_traced_memory()[0] - base
-                tracemalloc.reset_peak()
-                tape.backward(loss)
-                current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 1.25 * retained
-        assert current - base < 0.1 * retained
+        retained, peak, current, params = traced_step(ds, mc)
+        assert peak <= 1.25 * retained
+        assert current < 0.1 * retained
+        assert all(p.grad is not None for _, p in params.items())
+
+    def test_paper_label_scale_keeps_only_what_backward_reads(self):
+        """At the paper's label scale (c = 260, d_e 128, batch 128) a step
+        keeps the arrays its backward closures read, not every activation:
+        ~139 MiB here, where holding each record's output came to ~278 MiB."""
+        ds = small_dataset(n=128, m=6, c=260)
+        mc = ModelConfig(d_e=128, heads=4, dtype="float32")
+        retained, _, current, params = traced_step(ds, mc)
+        assert retained <= 170 * 2**20
+        assert current < 0.1 * retained
         assert all(p.grad is not None for _, p in params.items())
 
 
