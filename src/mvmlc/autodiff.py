@@ -832,11 +832,12 @@ def masked_softmax(scores, mask) -> Tensor:
 
     Positions where ``mask == 0`` have their logits replaced by MASK_FILL
     before the softmax, so they receive exactly zero weight (the exponential
-    underflows). The mask must be 0/1-valued and broadcastable to ``scores``;
-    a row of all zeros has nothing to attend to and raises AllMaskedRow.
+    underflows). The mask must be a 0/1-valued array, not a Tensor,
+    broadcastable to ``scores``; a row of all zeros has nothing to attend to
+    and raises AllMaskedRow.
     """
     scores = _as_tensor(scores)
-    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
+    m = np.asarray(mask)
     masked = m == 0
     if not np.all(masked | (m == 1)):
         raise NonBinary("mask entries must be exactly 0 or 1")
@@ -849,7 +850,7 @@ def masked_softmax(scores, mask) -> Tensor:
     return _make(p, (scores,), lambda g: (_softmax_backward(p, g),))
 
 
-def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]:
+def attention(qkv, heads: int, mask=None, first_only: bool = False) -> tuple[Tensor, Tensor]:
     """Multi-head scaled dot-product self-attention as one tape record.
 
     ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
@@ -861,11 +862,11 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
     probs)``: the merged head outputs (n, r, d), recorded on the tape, and
     the attention weights (n, heads, r, t) as a constant, gradient-free Tensor.
 
-    r is t unless ``queries`` is an int in [1, t]: then only the first r
-    tokens act as queries, every token still serves as a key and a value,
-    only the first r rows of an (n, t, t) ``mask`` are read, and the other
-    query slots of ``qkv`` get zero gradient. Each output row depends on its
-    own query only, so the result is the first r rows of full attention.
+    r is t, or 1 with ``first_only``: then only the first token acts as a
+    query, every token still serves as a key and a value, only the first row
+    of an (n, t, t) ``mask`` is read, and the other query slots of ``qkv``
+    get zero gradient. Each output row depends on its own query only, so the
+    result is the first row of full attention.
 
     The head split and merge are views and reshapes, and the softmax runs
     on a plain array, so none of them records anything. The backward pass
@@ -882,16 +883,14 @@ def attention(qkv, heads: int, mask=None, queries=None) -> tuple[Tensor, Tensor]
             f"heads={heads}, got {qkv.data.shape}"
         )
     n, t, d3 = qkv.data.shape
-    if queries is not None and not 1 <= queries <= t:
-        raise DimensionMismatch(f"queries={queries} must lie in [1, {t}] for {t} tokens")
-    r = t if queries is None else queries
+    r = 1 if first_only else t
     d = d3 // 3
     d_h = d // heads
     scale = qkv.data.dtype.type(1.0 / math.sqrt(d_h))
     # (3, n, heads, t, d_h) views of the packed projections
     q, k, v = qkv.data.reshape(n, t, 3, heads, d_h).transpose(2, 0, 3, 1, 4)
-    if queries is not None:
-        q = q[:, :, :r]
+    if first_only:
+        q = q[:, :, :1]
     scores = (q @ _swap_last(k)) * scale
     if mask is None:
         probs = softmax(scores)
@@ -922,13 +921,13 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def shared_token_attention(proj, n: int, heads: int, queries=None) -> Tensor:
+def shared_token_attention(proj, n: int, heads: int, first_only: bool = False) -> Tensor:
     """Attention over [one sample token, c tokens shared by every sample], as
     one tape record.
 
     ``proj`` is (n + c, 3 * d): the packed query/key/value projections of n
     sample tokens followed by c shared tokens. The result equals
-    ``attention(qkv, heads, queries=queries)[0]`` up to rounding, where
+    ``attention(qkv, heads, first_only=first_only)[0]`` up to rounding, where
     ``qkv`` (n, c + 1, 3 * d) puts each sample's row in front of the c shared
     rows, but no per-sample copy of the shared rows and no
     (n, heads, c + 1, c + 1) scores are built. Per head:
@@ -940,9 +939,9 @@ def shared_token_attention(proj, n: int, heads: int, queries=None) -> Tensor:
       A_i + w_ij (v_0(j) - A_i), with w_ij = sigmoid(q_i . k_0(j) / sqrt(d_h) - L_i);
     - row 0 is an ordinary softmax over [k_0(j), K_c].
 
-    ``queries`` is as in ``attention``, an int in [1, c + 1]; with
-    ``queries=1`` the shared block is not computed at all. The backward pass
-    reuses P_c, A, w and the row-0 weights of the forward pass.
+    ``first_only`` is as in ``attention``: only row 0 is computed, and the
+    shared block not at all. The backward pass reuses P_c, A, w and the
+    row-0 weights of the forward pass.
     """
     proj = _as_tensor(proj)
     if proj.data.ndim != 2 or proj.data.shape[-1] % (3 * heads) != 0:
@@ -954,10 +953,7 @@ def shared_token_attention(proj, n: int, heads: int, queries=None) -> Tensor:
     if not 1 <= n <= rows - 1:
         raise DimensionMismatch(f"n={n} must lie in [1, {rows - 1}] for {rows} rows")
     c = rows - n
-    if queries is not None and not 1 <= queries <= c + 1:
-        raise DimensionMismatch(f"queries={queries} must lie in [1, {c + 1}] for {c + 1} tokens")
-    r = c + 1 if queries is None else queries
-    rc = r - 1  # shared tokens that act as queries
+    r = 1 if first_only else c + 1
     d = d3 // 3
     d_h = d // heads
     dtype = proj.data.dtype
@@ -977,18 +973,18 @@ def shared_token_attention(proj, n: int, heads: int, queries=None) -> Tensor:
     p0 = softmax(scores0).data
     np.matmul(p0[..., 1:], vc, out=heads_out[:, :, 0])
     heads_out[:, :, 0] += p0[..., :1] * v0
-    if rc:
+    if not first_only:
         # the shared block, once per call
-        s_c = (qc[:, :rc] @ _swap_last(kc)) * scale
+        s_c = (qc @ _swap_last(kc)) * scale
         p_c = softmax(s_c).data
         # a row's largest weight is exp(0) / Z, so L = max(S) + log Z = max(S) - log max(P_c)
         lse = (_max_last(s_c) - np.log(_max_last(p_c)))[..., 0]
-        a = p_c @ vc  # (heads, rc, d_h)
-        # weight of each sample's own key in each shared row: (heads, n, rc)
-        w = (k0 @ _swap_last(qc[:, :rc])) * scale
+        a = p_c @ vc  # (heads, c, d_h)
+        # weight of each sample's own key in each shared row: (heads, n, c)
+        w = (k0 @ _swap_last(qc)) * scale
         w -= lse[:, None, :]
         w = _sigmoid(w)
-        # A_i + w_ij (v_0(j) - A_i), in the output's own (n, rc, heads, d_h)
+        # A_i + w_ij (v_0(j) - A_i), in the output's own (n, c, heads, d_h)
         # order, which numpy walks several times faster than the head-major one
         a_rows = np.ascontiguousarray(a.transpose(1, 0, 2))
         shared_out = out.reshape(n, r, heads, d_h)[:, 1:]
@@ -1013,28 +1009,29 @@ def shared_token_attention(proj, n: int, heads: int, queries=None) -> Tensor:
         np.matmul(_swap_last(g_s0[..., 1:]), q0, out=g_k[:, n:])
         np.multiply(p0[..., :1], g0, out=g_v[:, :n])
         np.matmul(_swap_last(p0[..., 1:]), g0, out=g_v[:, n:])
-        g_q[:, n + rc :] = 0.0
-        if rc:
-            # (heads, rc, n, d_h): shared row i's gradient over the samples
+        if first_only:
+            g_q[:, n:] = 0.0
+        else:
+            # (heads, c, n, d_h): shared row i's gradient over the samples
             g_rows = g_heads[:, :, 1:].transpose(0, 2, 1, 3)
             g_v[:, :n] += (w[:, :, None, :] @ g_heads[:, :, 1:])[:, :, 0]
-            g_a = ((1.0 - _swap_last(w))[..., None, :] @ g_rows)[:, :, 0]  # (heads, rc, d_h)
+            g_a = ((1.0 - _swap_last(w))[..., None, :] @ g_rows)[:, :, 0]  # (heads, c, d_h)
             # gradient of w: g_ij . (v_0(j) - A_i), then through the sigmoid
             g_w = (g_heads[:, :, 1:] @ v0[..., None])[..., 0]
             g_w -= _swap_last((g_rows @ a[..., None])[..., 0])
             g_w *= w
             g_w *= 1.0 - w
-            g_lse = -(np.ones(n, dtype) @ g_w)  # (heads, rc): column sums over the samples
+            g_lse = -(np.ones(n, dtype) @ g_w)  # (heads, c): column sums over the samples
             g_w *= scale
-            g_k[:, :n] += g_w @ qc[:, :rc]
+            g_k[:, :n] += g_w @ qc
             # the shared block: A = P_c V_c and L = logsumexp(S), dL/dS = P_c
             g_v[:, n:] += _swap_last(p_c) @ g_a
             g_s = _softmax_backward(p_c, g_a @ _swap_last(vc))
             g_s += g_lse[..., None] * p_c
             g_s *= scale
-            np.matmul(_swap_last(g_w), k0, out=g_q[:, n : n + rc])
-            g_q[:, n : n + rc] += g_s @ kc
-            g_k[:, n:] += _swap_last(g_s) @ qc[:, :rc]
+            np.matmul(_swap_last(g_w), k0, out=g_q[:, n:])
+            g_q[:, n:] += g_s @ kc
+            g_k[:, n:] += _swap_last(g_s) @ qc
         return (g_proj.reshape(rows, d3),)
 
     return _make(out, (proj,), backward)

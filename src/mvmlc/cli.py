@@ -282,10 +282,14 @@ def _add_common(parser: argparse.ArgumentParser, *, out_required: bool = True):
     parser.add_argument("--out", required=out_required, help="output directory")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser):
+def _add_objective_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--alpha", type=float, help="graph constraint coefficient")
     parser.add_argument("--beta", type=float, help="token-head loss coefficient")
     parser.add_argument("--gamma", type=float, help="fusion weight exponent")
+
+
+def _add_model_flags(parser: argparse.ArgumentParser):
+    _add_objective_flags(parser)
     parser.add_argument("--d-e", dest="d_e", type=int, help="embedding width")
     parser.add_argument("--heads", type=int, help="attention head count")
     parser.add_argument("--layers-v", dest="layers_v", type=int, help="view encoder depth")
@@ -345,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_common(p, out_required=False)
-    p.add_argument("--alpha", type=float, help="graph constraint coefficient")
-    p.add_argument("--beta", type=float, help="token-head loss coefficient")
-    p.add_argument("--gamma", type=float, help="fusion weight exponent")
+    _add_objective_flags(p)
     p.set_defaults(handler=cmd_gradcheck)
 
     return parser

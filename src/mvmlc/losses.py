@@ -55,8 +55,7 @@ def embedding_similarity(z: Tensor) -> Tensor:
     vectors stay finite.
     """
     sq_norm = (z * z).sum(axis=-1, keepdims=True)
-    inv_norm = 1.0 / ad.sqrt(ad.clamp_min(sq_norm, NORM_FLOOR_SQ))
-    unit = z * inv_norm
+    unit = z / ad.sqrt(ad.clamp_min(sq_norm, NORM_FLOOR_SQ))
     cos = ad.matmul(unit, ad.transpose(unit, axes=_swap_axes(unit.ndim)))
     return (cos + 1.0) * 0.5
 
@@ -91,15 +90,17 @@ def graph_constraint_loss(view_states: Tensor, label_sim: np.ndarray,
         warnings.warn("graph constraint skipped: no valid sample pair in any view")
         return Tensor(np.zeros((), dtype=dt))
 
-    # fold in the per-view 1/N normalizer
-    scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+    # fold the per-view 1/N and the -1/(2m) over views into the pair weights;
+    # they and T are constants in the model dtype, so no float64 temporary of
+    # this size is live while the forward pass's activations are
+    scale = np.divide(-1.0 / (2.0 * m), counts, out=np.zeros_like(counts), where=counts > 0)
     pair_w *= scale[:, None, None]
+    pair_w = pair_w.astype(dt)
+    t = np.asarray(label_sim, dtype=dt)
 
     sim = embedding_similarity(ad.transpose(view_states, (1, 0, 2)))  # (m, n, n)
     sim = ad.clamp(sim, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    t = np.broadcast_to(np.asarray(label_sim, dtype=dt), sim.shape)
-    bce = Tensor(t) * ad.log(sim) + Tensor(1.0 - t) * ad.log(1.0 - sim)
-    return (bce * Tensor(pair_w.astype(dt))).sum() * (-1.0 / (2.0 * m))
+    return (ad.log(sim) * (pair_w * t) + ad.log(1.0 - sim) * (pair_w * (1.0 - t))).sum()
 
 
 def masked_bce(logits: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Tensor:

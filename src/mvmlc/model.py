@@ -207,13 +207,13 @@ def _mlp_block(x: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
 
 
 def embed_views(views, params: ModelParams, rng=None) -> Tensor:
-    """Map per-view matrices (n x d_v each) into a shared (n, m, d_e) tensor."""
+    """Map per-view data arrays (n x d_v each) into a shared (n, m, d_e) tensor."""
     if len(views) != len(params.view_dims):
         raise DimensionMismatch(f"got {len(views)} views for a {len(params.view_dims)}-view model")
     dt = params.config.np_dtype
     embedded = []
     for v, x in enumerate(views):
-        x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=dt)
+        x = np.asarray(x, dtype=dt)
         if x.ndim != 2 or x.shape[1] != params.view_dims[v]:
             raise DimensionMismatch(
                 f"view {v} has shape {x.shape}; expected (n, {params.view_dims[v]})"
@@ -231,20 +231,16 @@ def attention_mask(view_mask: np.ndarray) -> np.ndarray:
     return w[:, None, :]
 
 
-def _query_rows(x: Tensor, queries) -> Tensor:
-    """The tokens of x (n, t, d_e) that act as queries: all, or the first ``queries``."""
-    return x if queries is None or queries == x.shape[1] else x[:, :queries]
-
-
 def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng,
-                   queries=None) -> Tensor:
-    """One pre-norm encoder layer; it returns only the first ``queries``
-    tokens when that is an int, since every token's output depends on its
-    own query alone."""
+                   first_only: bool = False) -> Tensor:
+    """One pre-norm encoder layer over the tokens of x (n, t, d_e). With
+    ``first_only`` it returns only the first token, (n, 1, d_e): every
+    token's output depends on its own query alone, so only that token's
+    query is computed, while all t tokens still serve as keys and values."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
     mixed, _ = ad.attention(ad.linear(normed, params[f"{prefix}.wqkv"]), params.config.heads,
-                            mask, queries)
-    return _encoder_tail(_query_rows(x, queries), mixed, params, prefix, rng)
+                            mask, first_only)
+    return _encoder_tail(x[:, :1] if first_only else x, mixed, params, prefix, rng)
 
 
 def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
@@ -259,7 +255,7 @@ def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str, rn
 
 
 def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
-                        queries=None) -> Tensor:
+                        first_only: bool = False) -> Tensor:
     """An encoder layer over [fused, cls] tokens whose c class tokens are the
     same for every sample.
 
@@ -271,8 +267,8 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
     so no class row is copied per sample. The output equals
     ``_encoder_layer`` over the concatenated tokens up to rounding.
 
-    ``queries`` is as in ``_encoder_layer``. With ``queries=1`` the layer
-    returns only the fused token, so its residual is ``fused`` alone.
+    ``first_only`` is as in ``_encoder_layer``: the layer returns only the
+    fused token's output, (n, 1, d_e), so its residual is ``fused`` alone.
     """
     n, d = fused.shape
     c = params.n_labels
@@ -280,14 +276,13 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
     normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
                            params[f"{prefix}.ln1_b"])
     mixed = ad.shared_token_attention(ad.linear(normed, params[f"{prefix}.wqkv"]), n,
-                                      params.config.heads, queries)
+                                      params.config.heads, first_only)
     # The (n, c + 1, d) residual stream is built after the attention's
     # temporaries are gone and handed on unnamed: no backward reads it, so
     # the tail frees it at its first residual.
     first = fused.reshape((n, 1, d))
     return _encoder_tail(
-        first if queries == 1
-        else _query_rows(ad.concat([first, ad.broadcast_to(cls, (n, c, d))], axis=1), queries),
+        first if first_only else ad.concat([first, ad.broadcast_to(cls, (n, c, d))], axis=1),
         mixed, params, prefix, rng)
 
 
@@ -307,20 +302,20 @@ def adaptive_fusion(states: Tensor, view_mask, weights: Tensor, gamma: float) ->
     """Fuse per-view states (n, m, d_e) into (n, d_e).
 
     Each available view v gets weight exp(weights[v]**gamma), renormalized
-    over that sample's available views; missing views get weight 0. The
-    weight vector is learnable and receives gradient through the fusion.
-    ``view_mask`` must be the states' (n, m).
+    over that sample's available views; missing views get weight 0. These
+    (n, m) weights are normalized before they scale the states, in one
+    weighted sum. The weight vector is learnable and receives gradient
+    through the fusion. ``view_mask`` must be the states' (n, m).
     """
     if np.shape(view_mask) != states.shape[:2]:
         raise DimensionMismatch(f"view_mask is {np.shape(view_mask)}, not {states.shape[:2]}")
     w = np.asarray(view_mask, dtype=states.dtype)
     if np.any(w.sum(axis=-1) == 0):
         raise EmptyRowMask("a sample has no available view to fuse")
-    m = states.shape[1]
-    raw = ad.exp(weights ** gamma)
-    numer = (states * raw.reshape((1, m, 1)) * Tensor(w[:, :, None])).sum(axis=1)
-    denom = (raw * Tensor(w)).sum(axis=1, keepdims=True)
-    return numer / denom
+    n, m = w.shape
+    raw = ad.exp(weights ** gamma) * w
+    norm = raw / raw.sum(axis=1, keepdims=True)
+    return (states * norm.reshape((n, m, 1))).sum(axis=1)
 
 
 def fusion_weights(params: ModelParams) -> np.ndarray:
@@ -343,19 +338,18 @@ def class_token_encoder_forward(fused: Tensor, params: ModelParams, rng=None,
 
     With ``tokens=False`` only the consensus is wanted: the last layer
     still attends over all c + 1 tokens but computes only the consensus
-    row (``queries=1``), and class_states is None. Without ``rng`` the
+    row (``first_only``), and class_states is None. Without ``rng`` the
     consensus equals the full path's up to rounding, since the GEMMs run
     over fewer rows; with ``rng`` the dropout draws differ as well.
     """
     cfg = params.config
     if fused.ndim != 2 or fused.shape[1] != cfg.d_e:
         raise DimensionMismatch(f"fused states have shape {fused.shape}; expected (n, {cfg.d_e})")
-    queries = [None] * cfg.layers_c
-    if not tokens:
-        queries[-1] = 1
-    x = _shared_token_layer(fused, params, "cls_enc.0", rng, queries[0])
+    last = cfg.layers_c - 1
+    x = _shared_token_layer(fused, params, "cls_enc.0", rng, first_only=not tokens and last == 0)
     for layer in range(1, cfg.layers_c):
-        x = _encoder_layer(x, None, params, f"cls_enc.{layer}", rng, queries[layer])
+        x = _encoder_layer(x, None, params, f"cls_enc.{layer}", rng,
+                           first_only=not tokens and layer == last)
     return x[:, 0, :], (x[:, 1:, :] if tokens else None)
 
 

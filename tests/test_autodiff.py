@@ -153,16 +153,16 @@ def view_style_mask(rng, n, t):
 
 
 class TestAttention:
-    @pytest.mark.parametrize("heads, queries", [(1, None), (2, None), (2, 1), (1, 2)],
-                             ids=["1", "2", "2-queries1", "1-queries2"])
+    @pytest.mark.parametrize("heads, first_only", [(1, False), (2, False), (2, True), (1, True)],
+                             ids=["1", "2", "2-first_only", "1-first_only"])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_gradient_matches_finite_differences(self, heads, queries, masked):
+    def test_gradient_matches_finite_differences(self, heads, first_only, masked):
         rng = np.random.default_rng(22)
         qkv = rng.standard_normal((2, 3, 12))
         mask = view_style_mask(rng, 2, 3) if masked else None
-        weights = rng.standard_normal((2, queries or 3, 4))
+        weights = rng.standard_normal((2, 1 if first_only else 3, 4))
         check_gradients(
-            lambda ts: (ad.attention(ts[0], heads, mask, queries)[0] * weights).sum(), [qkv])
+            lambda ts: (ad.attention(ts[0], heads, mask, first_only)[0] * weights).sum(), [qkv])
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("masked", [False, True])
@@ -214,58 +214,51 @@ class TestAttention:
         with pytest.raises(DimensionMismatch):
             ad.attention(ad.Tensor(np.zeros((2, 3, 8))), 2)
 
-    @pytest.mark.parametrize("queries", [1, 3])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_queries_are_the_first_rows_of_full_attention(self, queries, masked):
+    def test_first_only_is_the_first_row_of_full_attention(self, masked):
         rng = np.random.default_rng(29)
         qkv = rng.standard_normal((3, 4, 24))
         mask = view_style_mask(rng, 3, 4) if masked else None
         full, full_probs = ad.attention(ad.Tensor(qkv), 2, mask)
-        mixed, probs = ad.attention(ad.Tensor(qkv), 2, mask, queries)
-        assert mixed.shape == (3, queries, 8) and probs.shape == (3, 2, queries, 4)
-        np.testing.assert_allclose(mixed.data, full.data[:, :queries], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(probs.data, full_probs.data[:, :, :queries], rtol=0,
-                                   atol=1e-12)
-
-    @pytest.mark.parametrize("queries", [0, 4])
-    def test_queries_out_of_range(self, queries):
-        with pytest.raises(DimensionMismatch, match="queries"):
-            ad.attention(ad.Tensor(np.zeros((2, 3, 6))), 1, queries=queries)
+        mixed, probs = ad.attention(ad.Tensor(qkv), 2, mask, first_only=True)
+        assert mixed.shape == (3, 1, 8) and probs.shape == (3, 2, 1, 4)
+        np.testing.assert_allclose(mixed.data, full.data[:, :1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.data, full_probs.data[:, :, :1], rtol=0, atol=1e-12)
 
 
-def concatenated_attention(proj, n, heads, queries=None):
+def concatenated_attention(proj, n, heads, first_only=False):
     """``shared_token_attention`` the long way: copy the c shared rows to
     every sample and run ``attention`` over the (n, c + 1, 3 * d) tokens."""
     rows, d3 = proj.shape
     qkv = ad.concat([proj[:n].reshape((n, 1, d3)), ad.broadcast_to(proj[n:], (n, rows - n, d3))],
                     axis=1)
-    return ad.attention(qkv, heads, queries=queries)[0]
+    return ad.attention(qkv, heads, first_only=first_only)[0]
 
 
 class TestSharedTokenAttention:
     @staticmethod
-    def _output_and_grad(attend, proj, n, heads, queries, weights):
+    def _output_and_grad(attend, proj, n, heads, first_only, weights):
         x = ad.Tensor(proj, requires_grad=True)
         with ad.Tape() as tape:
-            out = attend(x, n, heads, queries)
+            out = attend(x, n, heads, first_only)
             tape.backward((out * weights).sum())
         return out.data, x.grad
 
-    def _both(self, proj, n, heads, queries, seed=30):
+    def _both(self, proj, n, heads, first_only, seed=30):
         c = proj.shape[0] - n
         weights = np.random.default_rng(seed).standard_normal(
-            (n, queries or c + 1, proj.shape[1] // 3)).astype(proj.dtype)
-        return [self._output_and_grad(attend, proj, n, heads, queries, weights)
+            (n, 1 if first_only else c + 1, proj.shape[1] // 3)).astype(proj.dtype)
+        return [self._output_and_grad(attend, proj, n, heads, first_only, weights)
                 for attend in (ad.shared_token_attention, concatenated_attention)]
 
-    @pytest.mark.parametrize("queries", [None, 1, 2])
+    @pytest.mark.parametrize("first_only", [False, True])
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("c", [1, 4])
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_equals_attention_over_concatenated_tokens(self, dtype, n, c, heads, queries):
+    def test_equals_attention_over_concatenated_tokens(self, dtype, n, c, heads, first_only):
         proj = np.random.default_rng(31).standard_normal((n + c, 12 * heads)).astype(dtype)
-        got, want = self._both(proj, n, heads, queries)
+        got, want = self._both(proj, n, heads, first_only)
         for g, w in zip(got, want):
             assert g.dtype == dtype and g.shape == w.shape
             if dtype == np.float64:
@@ -273,31 +266,29 @@ class TestSharedTokenAttention:
             else:
                 np.testing.assert_allclose(g, w, rtol=2e-6, atol=2e-6 * np.abs(w).max())
 
-    @pytest.mark.parametrize("n, c, heads, queries", [(1, 1, 1, None), (3, 2, 2, None),
-                                                      (2, 3, 1, 1), (2, 3, 2, 3)])
-    def test_gradient_matches_finite_differences(self, n, c, heads, queries):
+    @pytest.mark.parametrize("n, c, heads, first_only", [(1, 1, 1, False), (3, 2, 2, False),
+                                                         (2, 3, 1, True), (2, 3, 2, True)])
+    def test_gradient_matches_finite_differences(self, n, c, heads, first_only):
         rng = np.random.default_rng(32)
         proj = rng.standard_normal((n + c, 6 * heads))
-        weights = rng.standard_normal((n, queries or c + 1, 2 * heads))
+        weights = rng.standard_normal((n, 1 if first_only else c + 1, 2 * heads))
         check_gradients(
-            lambda ts: (ad.shared_token_attention(ts[0], n, heads, queries) * weights).sum(),
+            lambda ts: (ad.shared_token_attention(ts[0], n, heads, first_only) * weights).sum(),
             [proj])
 
-    @pytest.mark.parametrize("queries", [None, 1])
-    def test_large_scores_stay_finite_and_match(self, queries):
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_large_scores_stay_finite_and_match(self, first_only):
         proj = np.random.default_rng(33).standard_normal((5, 24)) * 40.0
-        got, want = self._both(proj, 2, 2, queries)
+        got, want = self._both(proj, 2, 2, first_only)
         for g, w in zip(got, want):
             assert np.all(np.isfinite(g))
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
 
-    @pytest.mark.parametrize("n, heads, queries", [(0, 1, None), (4, 1, None), (2, 1, 0),
-                                                   (2, 1, 4), (2, 4, None)])
-    def test_dimension_errors(self, n, heads, queries):
-        # 4 rows: n in [1, 3]; c = 4 - n tokens plus the sample's, so queries in [1, c + 1];
-        # width 6 is not a multiple of 3 * 4
+    @pytest.mark.parametrize("n, heads", [(0, 1), (4, 1), (2, 4)])
+    def test_dimension_errors(self, n, heads):
+        # 4 rows: n in [1, 3]; width 6 is not a multiple of 3 * 4
         with pytest.raises(DimensionMismatch):
-            ad.shared_token_attention(ad.Tensor(np.zeros((4, 6))), n, heads, queries)
+            ad.shared_token_attention(ad.Tensor(np.zeros((4, 6))), n, heads)
 
 
 class TestBceWithLogits:
@@ -326,7 +317,7 @@ class TestBceWithLogits:
 class TestFusedRecords:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case, records", [("linear", 1), ("attention", 1),
-                                               ("attention_queries", 1),
+                                               ("attention_first_only", 1),
                                                ("shared_token_attention", 1),
                                                ("bce_with_logits", 1)])
     def test_record_count_in_input_dtype(self, case, records, dtype):
@@ -339,8 +330,9 @@ class TestFusedRecords:
             "linear": ([tensor(2, 3, 4), tensor(4, 5), tensor(5)], lambda ts: ad.linear(*ts)),
             "attention": ([tensor(2, 3, 12)],
                           lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)))[0]),
-            "attention_queries": ([tensor(2, 3, 12)],
-                                  lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)), 1)[0]),
+            "attention_first_only": ([tensor(2, 3, 12)],
+                                     lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)),
+                                                             first_only=True)[0]),
             "shared_token_attention": ([tensor(5, 12)],
                                        lambda ts: ad.shared_token_attention(ts[0], 2, 2)),
             "bce_with_logits": ([tensor(3, 4)],
@@ -957,7 +949,7 @@ RECORDING_BUILDS = {
     "softmax": lambda r: ad.softmax(_leaf(r, 2, 3)),
     "masked_softmax": lambda r: ad.masked_softmax(_leaf(r, 2, 3), np.array([1, 0, 1])),
     "attention": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, np.ones((2, 1, 3)))[0],
-    "attention_queries": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, queries=1)[0],
+    "attention_first_only": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, first_only=True)[0],
     "shared_token_attention": lambda r: ad.shared_token_attention(_leaf(r, 5, 12), 2, 2),
     "bce_with_logits": lambda r: ad.bce_with_logits(_leaf(r, 2, 3), np.eye(2, 3),
                                                     np.ones((2, 3))),

@@ -124,6 +124,29 @@ class TestGraphConstraintLoss:
         pert = L.graph_constraint_loss(Tensor(z2), t, u, w).item()
         assert base == pert
 
+    def test_matches_reference_under_masks(self):
+        # the folded coefficients give the documented per-view mean over valid
+        # pairs, averaged over views with 1/(2m); a view with no pair adds 0
+        rng = np.random.default_rng(7)
+        n, m = 6, 3
+        for _ in range(5):
+            z = rng.standard_normal((n, m, 4))
+            y = (rng.random((n, 4)) < 0.4).astype(float)
+            g = (rng.random((n, 4)) < 0.7).astype(float)
+            t, u = L.label_similarity(y * g, g)
+            w = (rng.random((n, m)) < 0.7).astype(float)
+            w[w.sum(axis=1) == 0, 0] = 1.0
+            want = 0.0
+            for v in range(m):
+                unit = z[:, v] / np.linalg.norm(z[:, v], axis=1, keepdims=True)
+                s_v = np.clip((unit @ unit.T + 1.0) / 2.0, L.PROB_CLAMP, 1.0 - L.PROB_CLAMP)
+                pairs = np.outer(w[:, v], w[:, v]) * u * (1.0 - np.eye(n))
+                if pairs.sum() > 0:
+                    bce = -(t * np.log(s_v) + (1.0 - t) * np.log(1.0 - s_v))
+                    want += (bce * pairs).sum() / pairs.sum() / (2.0 * m)
+            got = L.graph_constraint_loss(Tensor(z), t, u, w).item()
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
     def test_no_valid_pairs_warns_and_returns_zero(self):
         z = np.ones((2, 1, 3))
         u = np.zeros((2, 2))

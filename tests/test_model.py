@@ -218,6 +218,17 @@ class TestAdaptiveFusion:
             assert abs(eff.sum() - 1.0) < 1e-12
             assert np.all(eff[w == 0] == 0)
 
+    def test_matches_reference_under_masks(self):
+        rng = np.random.default_rng(10)
+        z = rng.standard_normal((7, 4, 5))
+        a = rng.standard_normal(4)
+        w = (rng.random((7, 4)) < 0.6).astype(float)
+        w[w.sum(axis=1) == 0, 2] = 1.0
+        raw = np.exp(a**3) * w
+        want = ((raw / raw.sum(axis=1, keepdims=True))[:, :, None] * z).sum(axis=1)
+        out = M.adaptive_fusion(Tensor(z), w, Tensor(a), gamma=3.0)
+        np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-15)
+
     def test_fusion_weight_gets_gradient(self):
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(9)

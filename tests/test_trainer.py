@@ -219,9 +219,9 @@ class OpTape(Tape):
 
 
 class TestRecordsPerStep:
-    def test_no_per_step_weight_packing(self, monkeypatch):
-        """A training step concatenates and reshapes only activations: the
-        packed ``wqkv`` weights are parameters, not rebuilt each step."""
+    @staticmethod
+    def one_step_tape(monkeypatch):
+        """The parameters and the ``OpTape`` of a one-step training run."""
         tapes = []
 
         def op_tape():
@@ -233,6 +233,20 @@ class TestRecordsPerStep:
         _, tc = small_configs(epochs=1, batch_size=32)
         params, _ = train(ModelConfig(d_e=8, heads=2, dtype="float32"), tc, ds)
         (tape,) = tapes
+        return params, tape
+
+    def test_records_per_step(self, monkeypatch):
+        """Constant factors are folded before they meet an activation:
+        fusion scales the states once, the graph term's pair weights carry
+        its 1/N and -1/(2m), and a similarity divides by the norm."""
+        _, tape = self.one_step_tape(monkeypatch)
+        assert len(tape.ops) == 85
+        assert tape.ops.count("mul") == 9
+
+    def test_no_per_step_weight_packing(self, monkeypatch):
+        """A training step concatenates and reshapes only activations: the
+        packed ``wqkv`` weights are parameters, not rebuilt each step."""
+        params, tape = self.one_step_tape(monkeypatch)
         assert tape.ops.count("concat") == 2
         assert tape.ops.count("reshape") == 2
         leaves = [p for _, p in params.items()]
