@@ -225,6 +225,29 @@ class TestAttention:
         np.testing.assert_allclose(mixed.data, full.data[:, :1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(probs.data, full_probs.data[:, :, :1], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_first_only_gradient_is_the_first_row_gradient(self, masked, dtype):
+        # full attention with no gradient on rows 1.. gives the same gradient;
+        # first_only leaves exactly zero on the queries of tokens 1..
+        rng = np.random.default_rng(34)
+        qkv = rng.standard_normal((3, 4, 24)).astype(dtype)
+        mask = view_style_mask(rng, 3, 4) if masked else None
+        g = rng.standard_normal((3, 1, 8)).astype(dtype)
+        weights = np.zeros((3, 4, 8), dtype=dtype)
+        weights[:, :1] = g
+        grads = []
+        for first_only, w in ((True, g), (False, weights)):
+            x = ad.Tensor(qkv, requires_grad=True)
+            with ad.Tape() as tape:
+                mixed = ad.attention(x, 2, mask, first_only=first_only)[0]
+                tape.backward((mixed * w).sum())
+            assert mixed.dtype == dtype and x.grad.dtype == dtype
+            grads.append(x.grad)
+        np.testing.assert_array_equal(grads[0][:, 1:, :8], 0.0)
+        tol = 1e-12 if dtype == np.float64 else 2e-6
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=tol * np.abs(grads[1]).max())
+
 
 def concatenated_attention(proj, n, heads, first_only=False):
     """``shared_token_attention`` the long way: copy the c shared rows to
@@ -283,6 +306,25 @@ class TestSharedTokenAttention:
         for g, w in zip(got, want):
             assert np.all(np.isfinite(g))
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_first_only_gradient_is_the_row_zero_gradient(self, n, heads, dtype):
+        # the full output with no gradient on the shared rows gives the same
+        # gradient; first_only leaves exactly zero on the shared rows' queries
+        proj = np.random.default_rng(35).standard_normal((n + 3, 12 * heads)).astype(dtype)
+        g = np.random.default_rng(36).standard_normal((n, 1, 4 * heads)).astype(dtype)
+        weights = np.zeros((n, 4, 4 * heads), dtype=dtype)
+        weights[:, :1] = g
+        (row0, g_first), (full, g_full) = (
+            self._output_and_grad(ad.shared_token_attention, proj, n, heads, first_only, w)
+            for first_only, w in ((True, g), (False, weights)))
+        assert row0.dtype == dtype and g_first.dtype == dtype
+        np.testing.assert_array_equal(g_first[n:, :4 * heads], 0.0)
+        tol = 1e-12 if dtype == np.float64 else 2e-6
+        np.testing.assert_allclose(row0, full[:, :1], rtol=0, atol=tol * np.abs(full).max())
+        np.testing.assert_allclose(g_first, g_full, rtol=0, atol=tol * np.abs(g_full).max())
 
     @pytest.mark.parametrize("n, heads", [(0, 1), (4, 1), (2, 4)])
     def test_dimension_errors(self, n, heads):

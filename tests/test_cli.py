@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and stdout JSON can
 be asserted cheaply; one test uses a real subprocess to check wiring.
 """
 
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import pytest
 import mvmlc
 from mvmlc import autodiff as ad
 from mvmlc import data
-from mvmlc.cli import DEFAULTS, _config, main, read_config_file
+from mvmlc.cli import DEFAULTS, _config, build_parser, main, read_config_file
 from mvmlc.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from mvmlc.trainer import TrainConfig
 
@@ -360,6 +361,22 @@ class TestManifest:
         assert run_cli(capsys, *argv)[0] == 0
         manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
         assert set(manifest["options"]) == keys
+
+
+class TestObjectiveFlags:
+    @pytest.mark.parametrize("flag", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_train_and_gradcheck_share_the_objective_flags(self, command, flag):
+        parser = build_parser()
+        required = {"train": ["--data", "d", "--out", "o"], "gradcheck": []}[command]
+        args = parser.parse_args([command, *required, f"--{flag}", "0.25"])
+        assert getattr(args, flag) == 0.25
+        assert getattr(parser.parse_args([command, *required]), flag) is None
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        helps = [next(a.help for a in subparsers[name]._actions if a.dest == flag)
+                 for name in ("train", "gradcheck")]
+        assert helps[0] == helps[1]
 
 
 class TestGradcheck:

@@ -147,6 +147,21 @@ class TestGraphConstraintLoss:
             got = L.graph_constraint_loss(Tensor(z), t, u, w).item()
             assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
+    def test_float32_loss_and_gradient_stay_float32(self):
+        # the folded pair weights and T are built in the states' dtype
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((6, 2, 4))
+        t, u = L.label_similarity((rng.random((6, 3)) < 0.5).astype(float), np.ones((6, 3)))
+        w = np.ones((6, 2))
+        w[2, 1] = 0.0
+        want = L.graph_constraint_loss(Tensor(z), t, u, w).item()
+        z32 = Tensor(z.astype(np.float32), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = L.graph_constraint_loss(z32, t, u, w)
+            tape.backward(loss)
+        assert loss.dtype == np.float32 and z32.grad.dtype == np.float32
+        assert abs(loss.item() - want) <= 1e-5 * abs(want)
+
     def test_no_valid_pairs_warns_and_returns_zero(self):
         z = np.ones((2, 1, 3))
         u = np.zeros((2, 2))

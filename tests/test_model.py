@@ -326,6 +326,30 @@ class TestClassTokenEncoder:
         assert states is None
         np.testing.assert_allclose(consensus.data, full.data, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("layers_c", [1, 2, 3])
+    def test_consensus_only_gradients_match_full_path(self, layers_c):
+        # the last layer's first-row path backpropagates through every layer
+        # as the full path's consensus does
+        params = tiny_params(layers_c=layers_c, dropout=0.0)
+        rng = np.random.default_rng(17)
+        fused = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((5, 8)))
+
+        def grads(tokens):
+            params.zero_grads()
+            fused.grad = None
+            with ad.Tape() as tape:
+                consensus, _ = M.class_token_encoder_forward(fused, params, tokens=tokens)
+                tape.backward((consensus * weights).sum())
+            named = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+            return {**named, "fused": fused.grad}
+
+        got, want = grads(False), grads(True)
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            np.testing.assert_allclose(got[name], w, rtol=0,
+                                       atol=1e-12 * max(np.abs(w).max(), 1.0), err_msg=name)
+
     def test_tokens_specialize_per_sample(self):
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(12)
