@@ -1068,8 +1068,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     x_hat = x.data - _sum_last(x.data) / d
-    # row sums of squares as (1, d) @ (d, 1) products: no squared temporary
-    var = (x_hat[..., None, :] @ x_hat[..., :, None])[..., 0]
+    var = _row_dot(x_hat, x_hat)[..., None]
     var /= d
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat *= inv_std

@@ -277,7 +277,7 @@ def simulate_missing_views(n: int, m: int, ratio: float, seed: int) -> np.ndarra
 def simulate_missing_labels(labels: np.ndarray, ratio: float, seed: int) -> np.ndarray:
     """Known-label mask hiding floor(ratio * count) positives and negatives per category."""
     if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"ratio must be in [0, 1), got {ratio}")
+        raise InfeasibleRatio(f"ratio must be in [0, 1), got {ratio}")
     y = np.asarray(labels, dtype=np.float64)
     _check_binary(y, "labels")
     rng = np.random.default_rng(seed)

@@ -34,7 +34,8 @@ class EmptyRowMask(ValueError):
 
 
 class InfeasibleRatio(ValueError):
-    """The requested missing-view ratio cannot keep one view per sample."""
+    """A requested missing-view or missing-label ratio is outside [0, 1), or
+    would leave a sample with no view."""
 
 
 class DegenerateSplit(ValueError):

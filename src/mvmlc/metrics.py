@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonFiniteScores
+from .errors import (DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonBinary,
+                     NonFiniteScores)
 
 
 def _validate(scores, labels):
@@ -30,7 +31,7 @@ def _validate(scores, labels):
     if s.shape != y.shape or s.ndim != 2:
         raise DimensionMismatch(f"scores {s.shape} and labels {y.shape} must be equal 2-D shapes")
     if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be binary")
+        raise NonBinary("labels contain values outside {0, 1}")
     if np.isnan(s).any():
         raise NonFiniteScores(f"{int(np.isnan(s).sum())} of {s.size} scores are NaN")
     return s, y

@@ -89,8 +89,8 @@ def keep_freed_heap() -> bool:
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters and run plumbing. ``batch_size`` caps a
-    batch: an epoch of n rows runs ceil(n / batch_size) batches of
-    near-equal size, but never more than n // 2 (and at least one), so no
+    batch: an epoch over n labelled rows runs ceil(n / batch_size) batches
+    of near-equal size, but never more than n // 2 (and at least one), so no
     batch has a single row. The cap binds only at batch_size 2 with n odd,
     where one batch of 3 rows takes the place of a one-row tail."""
 
@@ -260,14 +260,19 @@ def train(
 ) -> tuple[ModelParams, RunHistory]:
     """Optimize a fresh model on the dataset; returns (params, history).
 
-    Each epoch runs ``TrainConfig``'s near-equal batches, at most n // 2
-    of them, so no short tail lacks sample pairs; one whose label mask is
-    entirely zero is redrawn once, and a second degenerate draw aborts.
-    Non-finite losses abort with the failing step in the message. The
-    first call in a process sets glibc's heap thresholds (see the module
-    docstring), which outlive it.
+    Rows with no known label add nothing to any loss, so they are left out
+    once, up front: n counts the labelled rows kept, and none kept raises
+    ``DegenerateMask``. Each epoch splits one permutation of them into
+    ``TrainConfig``'s near-equal batches. Non-finite losses abort with the
+    failing step in the message. The first call in a process sets glibc's
+    heap thresholds (see the module docstring), which outlive it.
     """
     keep_freed_heap()
+    labelled = dataset.label_mask.any(axis=1)
+    if not labelled.any():
+        raise DegenerateMask("no training row has a known label")
+    if not labelled.all():
+        dataset = dataset.take(np.flatnonzero(labelled))
     seed_seq = np.random.SeedSequence(train_config.seed)
     init_seed, shuffle_seed, dropout_seed = seed_seq.spawn(3)
     params = ModelParams.initialize(
@@ -287,12 +292,6 @@ def train(
         order = shuffle_rng.permutation(n)
         sums = dict.fromkeys(("loss", "l_mc", "l_gc", "l_ac"), 0.0)
         for step, idx in enumerate(np.array_split(order, n_batches)):
-            if dataset.label_mask[idx].sum() == 0:
-                idx = shuffle_rng.choice(n, size=len(idx), replace=False)
-                if dataset.label_mask[idx].sum() == 0:
-                    raise DegenerateMask(
-                        f"epoch {epoch}: batch has no known label even after resampling"
-                    )
             w_b = dataset.view_mask[idx]
 
             params.zero_grads()
@@ -313,10 +312,8 @@ def train(
                 raise NonFiniteLoss(
                     f"epoch {epoch}, step {step}: non-finite parameter after update")
 
-            # a redraw keeps the batch size, so the sizes sum to n per epoch
-            k = len(idx)
             for key, term in zip(sums, terms, strict=True):
-                sums[key] += term.item() * k
+                sums[key] += term.item() * len(idx)
 
         record = EpochRecord(
             epoch=epoch,

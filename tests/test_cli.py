@@ -140,6 +140,14 @@ class TestCorrupt:
         assert code == 3
         assert "error" in err
 
+    def test_label_ratio_of_one_exits_3(self, capsys, tmp_path):
+        run_cli(capsys, *synth_args(tmp_path / "ds", n=10, m=2))
+        code, out, err = run_cli(capsys, "corrupt", "--data", str(tmp_path / "ds"),
+                                 "--label-missing", "1.0", "--seed", "0",
+                                 "--out", str(tmp_path / "bad"))
+        assert code == 3
+        assert out == "" and "ratio must be in [0, 1)" in err
+
     def test_missing_dataset_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "corrupt", "--data", str(tmp_path / "nope"),
                                "--seed", "0", "--out", str(tmp_path / "bad"))
@@ -216,6 +224,14 @@ class TestTrainEval:
         run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
         code, out, err = run_cli(capsys, *train_args(tmp_path / "ds", tmp_path / "run", **bad))
         assert code == 1 and out == "" and "ValueError" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["view_missing", "label_missing"])
+    def test_ratio_of_one_exits_3_before_writing(self, capsys, tmp_path, flag):
+        run_cli(capsys, *synth_args(tmp_path / "ds", n=50))
+        code, out, err = run_cli(capsys, *train_args(tmp_path / "ds", tmp_path / "run",
+                                                     **{flag: 1.0}))
+        assert code == 3 and out == "" and "ratio must be in [0, 1)" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("data_dir, bad, error", [

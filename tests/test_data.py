@@ -168,6 +168,11 @@ class TestSimulateMissingLabels:
         y = np.eye(4)
         np.testing.assert_array_equal(data.simulate_missing_labels(y, 0.0, 0), 1.0)
 
+    @pytest.mark.parametrize("ratio", [-0.1, 1.0, 1.5])
+    def test_ratio_outside_unit_interval_is_infeasible(self, ratio):
+        with pytest.raises(InfeasibleRatio):
+            data.simulate_missing_labels(np.eye(4), ratio, 0)
+
     def test_per_category_floor_counts(self):
         rng = np.random.default_rng(0)
         y = np.zeros((100, 3))

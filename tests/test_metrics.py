@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mvmlc import metrics as mx
-from mvmlc.errors import DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonFiniteScores
+from mvmlc.errors import (DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonBinary,
+                          NonFiniteScores)
 from oracles import (
     oracle_average_precision,
     oracle_macro_auc,
@@ -136,6 +137,13 @@ class TestInvariances:
         labels = np.eye(3)
         for f in (mx.compute_report, mx.average_precision, mx.one_minus_ranking_loss, mx.macro_auc):
             with pytest.raises(NonFiniteScores):
+                f(scores, labels)
+
+    def test_non_binary_labels_raise(self):
+        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+        labels = np.array([[1.0, 0.0], [0.0, 0.5]])
+        for f in (mx.compute_report, mx.average_precision, mx.one_minus_ranking_loss, mx.macro_auc):
+            with pytest.raises(NonBinary):
                 f(scores, labels)
 
 

@@ -391,6 +391,38 @@ class TestTrain:
         with pytest.raises(DegenerateMask):
             train(mc, tc, blank)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_labels_run_every_epoch(self, seed):
+        # 41 of the 200 rows keep a known label: a batch of 16 drawn from all
+        # 200 can hold none, or too few for a single valid pair
+        ds = small_dataset(n=200, c=2)
+        ds = data.apply_masks(ds, label_mask=data.simulate_missing_labels(ds.labels, 0.9, seed=1))
+        assert int(ds.label_mask.any(axis=1).sum()) == 41
+        mc = ModelConfig(d_e=8, heads=2, dtype="float32")
+        tc = TrainConfig(epochs=200, batch_size=16, learning_rate=2e-3, seed=seed)
+        _, history = train(mc, tc, ds)
+        assert len(history) == 200 and np.isfinite(history.final().loss)
+
+    def test_rows_without_a_known_label_never_reach_a_batch(self, monkeypatch):
+        ds = small_dataset(n=60)
+        g = ds.label_mask.copy()
+        g[::3] = 0.0  # 20 rows with no known label
+        ds = data.apply_masks(ds, label_mask=g)
+        masks = []
+
+        def recording(logits, labels, label_mask):
+            masks.append(label_mask)
+            return losses.masked_bce(logits, labels, label_mask)
+
+        monkeypatch.setattr(trainer_mod, "masked_bce", recording)
+        mc, tc = small_configs(epochs=2, batch_size=16)
+        train(mc, tc, ds)
+        assert all(m.any(axis=1).all() for m in masks)
+        # objective calls it twice per step: main head, then class tokens
+        sizes = [len(m) for m in masks[::2]]
+        assert sizes == [len(m) for m in masks[1::2]]
+        assert sizes == [14, 13, 13] * 2  # each epoch covers the 40 labelled rows once
+
     def test_non_finite_loss_aborts(self):
         ds = small_dataset(n=32)
         mc, tc = small_configs(epochs=30, learning_rate=1e18)
@@ -548,6 +580,35 @@ class TestObjectiveProperties:
                 if p.grad is not None:
                     p.data = p.data - step * p.grad
             assert current_loss(grad=False) < loss_before
+
+    def test_rows_without_a_known_label_change_nothing(self):
+        # such a row has weight 0 in both BCE terms and no valid pair in the
+        # graph loss, so appending four of them leaves terms and gradients
+        ds = small_dataset(n=12, seed=3)
+        g = ds.label_mask.copy()
+        g[8:] = 0.0
+        ds = data.apply_masks(ds, label_mask=g)
+        cfg = ModelConfig(d_e=8, heads=2, dropout=0.0, dtype="float64")
+        params = ModelParams.initialize(cfg, ds.view_dims, ds.c, seed=0)
+
+        def terms_and_grads(rows):
+            idx = np.arange(rows)
+            params.zero_grads()
+            with Tape() as tape:
+                out = M.forward([x[idx] for x in ds.views], ds.view_mask[idx], params)
+                terms = trainer_mod.objective(
+                    out, ds.labels[idx], ds.label_mask[idx], ds.view_mask[idx],
+                    *losses.label_similarity(ds.labels[idx], ds.label_mask[idx]), 10.0, 0.1)
+                tape.backward(terms[0])
+            return ([t.item() for t in terms],
+                    {name: p.grad.copy() for name, p in params.items() if p.grad is not None})
+
+        terms, grads = terms_and_grads(8)
+        terms_more, grads_more = terms_and_grads(12)
+        np.testing.assert_allclose(terms_more, terms, rtol=1e-12)
+        assert grads_more.keys() == grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grads_more[name], grad, rtol=1e-12, err_msg=name)
 
     def test_noise_view_gets_smallest_fusion_weight(self):
         # Two complementary informative views (each sees half the latent
