@@ -652,13 +652,11 @@ def sqrt(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp() only ever sees -|x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow or branches: with e = exp(-|x|),
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, so exp() only ever
+    sees -|x|. The result keeps x's dtype, and NaN stays NaN."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -784,15 +782,11 @@ def gelu(a) -> Tensor:
     return _make(x * cdf, (a,), backward)
 
 
-def clamp(a, lo: float | None, hi: float | None) -> Tensor:
+def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where the input was in range."""
     a = _as_tensor(a)
     out_data = np.clip(a.data, lo, hi)
-    inside = np.ones(a.data.shape, dtype=bool)
-    if lo is not None:
-        inside &= a.data >= lo
-    if hi is not None:
-        inside &= a.data <= hi
+    inside = (a.data >= lo) & (a.data <= hi)
 
     def backward(g):
         return (g * inside,)
@@ -801,7 +795,7 @@ def clamp(a, lo: float | None, hi: float | None) -> Tensor:
 
 
 def clamp_min(a, lo: float) -> Tensor:
-    return clamp(a, lo, None)
+    return clamp(a, lo, np.inf)
 
 
 def _softmax_last_axis(filled: np.ndarray) -> np.ndarray:

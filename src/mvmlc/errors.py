@@ -43,7 +43,8 @@ class DegenerateSplit(ValueError):
 
 
 class DegenerateMask(ValueError):
-    """No known labels remain to average a masked loss over."""
+    """Too few known labels remain: none to average a masked loss over, or
+    fewer than two labelled training rows to form a sample pair."""
 
 
 class NonFiniteLoss(RuntimeError):

@@ -13,11 +13,12 @@ vector into it (``ad.shared_token_attention``); the result equals running
 the layer per sample up to rounding.
 
 The heads emit logits, and the losses work in logit space. ``forward``
-applies the sigmoid only at the edge, to the main head, to give
-``ForwardPass.p_main``, which ``evaluate`` ranks. Only the training loss
-reads the class tokens, so evaluation runs ``forward(..., tokens=False)``:
-the last class-token layer computes the consensus row only, and the
-per-class token heads do not run.
+applies the sigmoid only at the edge, to the main head's values, to give
+``ForwardPass.p_main``, which ``evaluate`` ranks. It is computed off the
+tape: no loss reads it, so it carries no gradient and a training step
+records no sigmoid. Only the training loss reads the class tokens, so
+evaluation runs ``forward(..., tokens=False)``: the last class-token layer
+computes the consensus row only, and the per-class token heads do not run.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
@@ -378,7 +379,7 @@ class ForwardPass:
     class_states: Tensor | None  # (n, c, d_e) specialized class tokens; None if tokens=False
     main_logits: Tensor          # (n, c) main head logits, what the losses read
     token_logits: Tensor | None  # (n, c) per-class-token head logits; None if tokens=False
-    p_main: Tensor               # (n, c) main predictions: sigmoid of main_logits
+    p_main: Tensor               # (n, c) main predictions: sigmoid of main_logits, off the tape
 
 
 def forward(views, view_mask, params: ModelParams, rng=None, tokens: bool = True) -> ForwardPass:
@@ -392,7 +393,7 @@ def forward(views, view_mask, params: ModelParams, rng=None, tokens: bool = True
     consensus, class_states = class_token_encoder_forward(fused, params, rng, tokens=tokens)
     main_logits, token_logits = predict(consensus, class_states, params)
     return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits,
-                       ad.sigmoid(main_logits))
+                       ad.sigmoid(main_logits.data))
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,10 @@ def keep_freed_heap() -> bool:
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters and run plumbing. ``batch_size`` caps a
-    batch: an epoch over n labelled rows runs ceil(n / batch_size) batches
-    of near-equal size, but never more than n // 2 (and at least one), so no
-    batch has a single row. The cap binds only at batch_size 2 with n odd,
-    where one batch of 3 rows takes the place of a one-row tail."""
+    batch: an epoch over n >= 2 labelled rows runs ceil(n / batch_size)
+    batches of near-equal size, but never more than n // 2, so no batch has
+    a single row. The cap binds only at batch_size 2 with n odd, where one
+    batch of 3 rows takes the place of a one-row tail."""
 
     epochs: int = 200
     batch_size: int = 128
@@ -261,16 +261,17 @@ def train(
     """Optimize a fresh model on the dataset; returns (params, history).
 
     Rows with no known label add nothing to any loss, so they are left out
-    once, up front: n counts the labelled rows kept, and none kept raises
-    ``DegenerateMask``. Each epoch splits one permutation of them into
-    ``TrainConfig``'s near-equal batches. Non-finite losses abort with the
-    failing step in the message. The first call in a process sets glibc's
-    heap thresholds (see the module docstring), which outlive it.
+    once, up front: n counts the labelled rows kept, and fewer than two kept
+    raises ``DegenerateMask``, since the pair losses need pairs. Each epoch
+    splits one permutation of them into ``TrainConfig``'s near-equal
+    batches. Non-finite losses abort with the failing step in the message.
+    The first call in a process sets glibc's heap thresholds (see the module
+    docstring), which outlive it.
     """
     keep_freed_heap()
     labelled = dataset.label_mask.any(axis=1)
-    if not labelled.any():
-        raise DegenerateMask("no training row has a known label")
+    if np.count_nonzero(labelled) < 2:
+        raise DegenerateMask("fewer than two training rows have a known label")
     if not labelled.all():
         dataset = dataset.take(np.flatnonzero(labelled))
     seed_seq = np.random.SeedSequence(train_config.seed)
@@ -286,7 +287,7 @@ def train(
     state = AdamState(params)
     history = RunHistory()
     n = dataset.n
-    n_batches = max(1, min(math.ceil(n / train_config.batch_size), n // 2))
+    n_batches = min(math.ceil(n / train_config.batch_size), n // 2)
 
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(n)

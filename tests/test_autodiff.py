@@ -6,6 +6,7 @@ values for the fixed cases.
 """
 
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -433,6 +434,43 @@ class TestElementwise:
         rng = np.random.default_rng(5)
         a = rng.uniform(0.2, 2.0, size=(3, 4))  # positive keeps log/sqrt safe
         check_gradients(lambda ts: op(ts[0]).sum(), [a])
+
+
+def _two_branch_sigmoid(x):
+    """The logistic function as two masked halves, 1 / (1 + exp(-x)) for
+    x >= 0 and exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_SPECIALS = [0.0, np.inf, 1e30, 88.0, 710.0, 745.2, 1e-45, 5e-324, np.nan]
+
+
+class TestSigmoidKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64, 4), (128, 20), (4, 128, 20), (512, 16), (128, 260)])
+    def test_random_inputs_match_two_branches_bit_for_bit(self, shape, dtype):
+        x = (8.0 * np.random.default_rng(61).standard_normal(shape)).astype(dtype)
+        got = ad._sigmoid(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, _two_branch_sigmoid(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values_match_two_branches_bit_for_bit(self, dtype):
+        half = np.array(_SIGMOID_SPECIALS, dtype=dtype)
+        x = np.concatenate([half, -half])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad._sigmoid(x)
+        assert got.dtype == dtype
+        want = _two_branch_sigmoid(x)
+        np.testing.assert_array_equal(got, want, strict=True)  # NaN matches NaN
+        assert np.isnan(got[-1]) and np.isnan(got[len(half) - 1])
+        assert got[1] == 1.0 and got[len(half) + 1] == 0.0  # +-inf
 
 
 class TestGelu:
@@ -1067,6 +1105,12 @@ class TestClamp:
         with ad.Tape() as tape:
             tape.backward(ad.clamp(x, 0.0, 1.0).sum())
         np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
+
+    def test_clamp_min_passes_gradient_up_to_inf(self):
+        x = ad.Tensor([-1.0, 0.5, 1e300, np.inf, np.nan], requires_grad=True)
+        with ad.Tape() as tape:
+            tape.backward(ad.clamp_min(x, 0.5).sum())
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
 class TestDropout:

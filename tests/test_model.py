@@ -477,14 +477,28 @@ class TestEndToEnd:
                 np.testing.assert_array_equal(o.view_states.grad[w == 0], 0.0)
                 assert np.any(o.view_states.grad[w == 1] != 0)
 
+    def test_training_p_main_is_off_the_tape(self):
+        params = tiny_params(dtype="float32")
+        views, w = random_inputs(np.random.default_rng(19), 6, params.view_dims, missing=0.3)
+        with ad.Tape() as tape:
+            out = M.forward(views, w, params, rng=np.random.default_rng(3))
+            records = len(tape)
+            assert out.main_logits.requires_grad and not out.p_main.requires_grad
+            ad.sigmoid(out.main_logits)
+            assert len(tape) == records + 1  # the same call on a Tensor records
+            tape.backward(out.main_logits.sum())
+        assert out.p_main.dtype == np.float32
+        np.testing.assert_array_equal(out.p_main.data, ad.sigmoid(out.main_logits).data)
+
     def test_gradients_reach_every_parameter_group(self):
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(18)
         views, w = random_inputs(rng, 4, params.view_dims, missing=0.3)
         with ad.Tape() as tape:
             out = M.forward(views, w, params)
-            p_tokens = ad.sigmoid(out.token_logits)
-            loss = (out.p_main * out.p_main).sum() + (p_tokens * p_tokens).sum()
+            # p_main is off the tape, so the main head is reached through its logits
+            p_main, p_tokens = ad.sigmoid(out.main_logits), ad.sigmoid(out.token_logits)
+            loss = (p_main * p_main).sum() + (p_tokens * p_tokens).sum()
             tape.backward(loss)
         for group, names in params.groups().items():
             got = any(params[n].grad is not None and np.any(params[n].grad != 0) for n in names)

@@ -238,9 +238,10 @@ class TestRecordsPerStep:
     def test_records_per_step(self, monkeypatch):
         """Constant factors are folded before they meet an activation:
         fusion scales the states once, the graph term's pair weights carry
-        its 1/N and -1/(2m), and a similarity divides by the norm."""
+        its 1/N and -1/(2m), and a similarity divides by the norm. The
+        prediction sigmoid runs off the tape."""
         _, tape = self.one_step_tape(monkeypatch)
-        assert len(tape.ops) == 85
+        assert len(tape.ops) == 84
         assert tape.ops.count("mul") == 9
 
     def test_no_per_step_weight_packing(self, monkeypatch):
@@ -252,6 +253,54 @@ class TestRecordsPerStep:
         leaves = [p for _, p in params.items()]
         for inputs in tape.concat_inputs:
             assert not all(any(x is p for p in leaves) for x in inputs)
+
+
+class ReadTape(Tape):
+    """Tape that marks each record when backward runs its closure; backward
+    skips a record whose output no later record gave a gradient."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = []
+        self.read = []
+
+    def record(self, out, inputs, backward):
+        k = len(self.ops)
+        self.ops.append(backward.__qualname__.split(".")[0])
+        self.read.append(False)
+
+        def marked(g):
+            self.read[k] = True
+            return backward(g)
+
+        super().record(out, inputs, marked)
+
+
+class TestEveryRecordIsRead:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("layers_c", [1, 2, 3])
+    def test_backward_reads_every_record_of_a_step(self, monkeypatch, layers_c, dtype):
+        """A training step records nothing that backward does not read: the
+        prediction sigmoid stays off the tape."""
+        tapes = []
+
+        def read_tape():
+            tapes.append(ReadTape())
+            return tapes[-1]
+
+        monkeypatch.setattr(trainer_mod, "Tape", read_tape)
+        ds = small_dataset(n=24, m=3, c=4)
+        ds = data.apply_masks(ds, view_mask=data.simulate_missing_views(24, 3, 0.3, seed=0),
+                              label_mask=data.simulate_missing_labels(ds.labels, 0.3, seed=0))
+        assert (ds.view_mask == 0).any() and (ds.label_mask == 0).any()
+        assert ds.label_mask.any(axis=1).all()  # all 24 rows train, as one batch
+        mc = ModelConfig(d_e=8, heads=2, layers_c=layers_c, dropout=0.1, dtype=dtype)
+        tc = TrainConfig(epochs=1, batch_size=24, alpha=10.0, beta=0.1, seed=3)
+        train(mc, tc, ds)
+        (tape,) = tapes
+        unread = [op for op, read in zip(tape.ops, tape.read) if not read]
+        assert unread == []
+        assert "sigmoid" not in tape.ops
 
 
 class TestKeepFreedHeap:
@@ -390,6 +439,15 @@ class TestTrain:
         mc, tc = small_configs(epochs=1, batch_size=10)
         with pytest.raises(DegenerateMask):
             train(mc, tc, blank)
+
+    def test_one_labelled_row_aborts(self):
+        # one labelled row would run one-row batches with no sample pair
+        ds = small_dataset(n=20)
+        g = np.zeros_like(ds.label_mask)
+        g[7] = 1.0
+        mc, tc = small_configs(epochs=2, batch_size=10)
+        with pytest.raises(DegenerateMask):
+            train(mc, tc, data.apply_masks(ds, label_mask=g))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sparse_labels_run_every_epoch(self, seed):
