@@ -139,8 +139,12 @@ def apply_masks(
     """Return a copy with the given masks applied and features/labels zero-filled.
 
     New masks combine with existing ones (an already-missing entry stays
-    missing).
+    missing). Each given mask must have the shape of the one it combines with.
     """
+    for name, new, own in (("view_mask", view_mask, ds.view_mask),
+                           ("label_mask", label_mask, ds.label_mask)):
+        if new is not None and np.shape(new) != own.shape:
+            raise DimensionMismatch(f"{name} is {np.shape(new)}, not {own.shape}")
     w = ds.view_mask if view_mask is None else ds.view_mask * np.asarray(view_mask, dtype=np.float64)
     g = ds.label_mask if label_mask is None else ds.label_mask * np.asarray(label_mask, dtype=np.float64)
     views = [_zero_fill(x, w[:, v : v + 1]) for v, x in enumerate(ds.views)]

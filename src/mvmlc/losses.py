@@ -39,6 +39,8 @@ def label_similarity(labels: np.ndarray, label_mask: np.ndarray):
     """
     y = np.asarray(labels, dtype=np.float64)
     g = np.asarray(label_mask, dtype=np.float64)
+    if y.ndim != 2 or g.shape != y.shape:
+        raise DimensionMismatch(f"label_mask is {g.shape}, not the 2-D labels' {y.shape}")
     known_pos = y * g
     shared_pos = known_pos @ known_pos.T
     shared_known = g @ g.T
@@ -109,7 +111,11 @@ def masked_bce(logits: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Te
 
     Computed in logit space (``ad.bce_with_logits``), so a prediction
     saturated on the wrong side still gets a gradient of full size.
+    ``labels`` and ``label_mask`` must have the logits' shape.
     """
+    if np.shape(labels) != logits.shape or np.shape(label_mask) != logits.shape:
+        raise DimensionMismatch(f"labels {np.shape(labels)} and label_mask {np.shape(label_mask)} "
+                                f"must have the logits' shape {logits.shape}")
     g = np.asarray(label_mask, dtype=logits.data.dtype)
     known = g.sum()
     if known == 0:

@@ -9,20 +9,29 @@ Each metric is a whole-matrix numpy pass: one sort along the rows (AP,
 1 - RL) or the columns (AUC) of the score matrix, then cumulative sums, so
 the cost is a few sorts per matrix and the temporaries are O(n * c).
 
-Degenerate rows/columns (no positive label for AP; missing a positive or a
-negative for the pairwise metrics) are skipped and counted rather than
-scored. A NaN score has no place in a ranking and raises NonFiniteScores.
+Each metric's helper (``_ap``, ``_rl``, or ``_concordance`` on the transposed
+matrices for AUC) gives one value per unit (sample or label) it can score and
+the mask ``ok`` of those units; a degenerate unit (no positive label for AP;
+missing a positive or a negative for the pairwise metrics) is skipped and
+counted. ``_mean`` averages the values, or raises the metric's typed error
+when no unit counts. A NaN score has no place in a ranking and raises
+NonFiniteScores.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (DimensionMismatch, NoEvaluableLabels, NoEvaluableSamples, NonBinary,
                      NonFiniteScores)
+
+# Each metric's degenerate case: the error raised when no unit has a value.
+_NO_AP = (NoEvaluableSamples, "no sample has a positive label")
+_NO_RL = (NoEvaluableSamples, "no sample has both a positive and a negative label")
+_NO_AUC = (NoEvaluableLabels, "no label has both a positive and a negative sample")
 
 
 def _validate(scores, labels):
@@ -37,28 +46,24 @@ def _validate(scores, labels):
     return s, y
 
 
-# The _*_with_counts helpers take the float64 (scores, labels) pair that
-# _validate returns and give (total, evaluated, skipped).
+def _mean(values, ok, error) -> float:
+    """Mean of ``values`` over the ``ok`` units, or the (type, message) ``error``."""
+    evaluated = int(ok.sum())
+    if evaluated == 0:
+        raise error[0](error[1])
+    return float(values.sum()) / evaluated
 
-def _ap_with_counts(s, y):
-    n, c = s.shape
+
+def _ap(s, y):
+    """Per row: the AP of its label ranking, and whether it has a positive label."""
+    c = s.shape[1]
     # descending score, ties broken by ascending label index (stable sort)
     order = np.argsort(-s, axis=1, kind="stable")
     hits = np.take_along_axis(y, order, axis=1)
     precision = np.cumsum(hits, axis=1) / np.arange(1, c + 1)
     n_pos = hits.sum(axis=1)
-    has_pos = n_pos > 0
-    total = ((precision * hits).sum(axis=1)[has_pos] / n_pos[has_pos]).sum()
-    evaluated = int(has_pos.sum())
-    return float(total), evaluated, n - evaluated
-
-
-def average_precision(scores, labels) -> float:
-    """Mean over samples of the average precision of their label ranking."""
-    total, evaluated, _ = _ap_with_counts(*_validate(scores, labels))
-    if evaluated == 0:
-        raise NoEvaluableSamples("no sample has a positive label")
-    return total / evaluated
+    ok = n_pos > 0
+    return (precision * hits).sum(axis=1)[ok] / n_pos[ok], ok
 
 
 def _concordance(s, y):
@@ -84,33 +89,27 @@ def _concordance(s, y):
     return concordant[ok] / (n_pos[ok] * n_neg[ok]), ok
 
 
-def _rl_with_counts(s, y):
+def _rl(s, y):
+    """Per row: the ranking loss, and whether it has both kinds of label."""
     fraction, ok = _concordance(s, y)
-    evaluated = int(ok.sum())
-    return float((1.0 - fraction).sum()), evaluated, s.shape[0] - evaluated
+    return 1.0 - fraction, ok
+
+
+def average_precision(scores, labels) -> float:
+    """Mean over samples of the average precision of their label ranking."""
+    return _mean(*_ap(*_validate(scores, labels)), _NO_AP)
 
 
 def one_minus_ranking_loss(scores, labels) -> float:
     """1 minus the mean fraction of mis-ordered (positive, negative) label
     pairs per sample; a tie counts as half a violation."""
-    total, evaluated, _ = _rl_with_counts(*_validate(scores, labels))
-    if evaluated == 0:
-        raise NoEvaluableSamples("no sample has both a positive and a negative label")
-    return 1.0 - total / evaluated
-
-
-def _auc_with_counts(s, y):
-    fraction, ok = _concordance(s.T, y.T)
-    evaluated = int(ok.sum())
-    return float(fraction.sum()), evaluated, s.shape[1] - evaluated
+    return 1.0 - _mean(*_rl(*_validate(scores, labels)), _NO_RL)
 
 
 def macro_auc(scores, labels) -> float:
     """Mean over labels of the Mann-Whitney ROC AUC (ties credited 0.5)."""
-    total, evaluated, _ = _auc_with_counts(*_validate(scores, labels))
-    if evaluated == 0:
-        raise NoEvaluableLabels("no label has both a positive and a negative sample")
-    return total / evaluated
+    s, y = _validate(scores, labels)
+    return _mean(*_concordance(s.T, y.T), _NO_AUC)
 
 
 @dataclass
@@ -125,42 +124,28 @@ class MetricsReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "one_minus_rl": self.one_minus_rl,
-            "auc": self.auc,
-            "n_eval": self.n_eval,
-            "skipped": dict(self.skipped),
-            "meta": dict(self.meta),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(ap=d["ap"], one_minus_rl=d["one_minus_rl"], auc=d["auc"],
-                   n_eval=d["n_eval"], skipped=dict(d.get("skipped", {})),
-                   meta=dict(d.get("meta", {})))
+        return cls(**d)
 
 
 def compute_report(scores, labels, meta: dict | None = None) -> MetricsReport:
     """All three metrics over one score matrix, with skip counts."""
     s, y = _validate(scores, labels)
-    ap_total, ap_eval, ap_skip = _ap_with_counts(s, y)
-    rl_total, rl_eval, rl_skip = _rl_with_counts(s, y)
-    auc_total, auc_eval, auc_skip = _auc_with_counts(s, y)
-    if ap_eval == 0:
-        raise NoEvaluableSamples("no sample has a positive label")
-    if rl_eval == 0:
-        raise NoEvaluableSamples("no sample has both a positive and a negative label")
-    if auc_eval == 0:
-        raise NoEvaluableLabels("no label has both a positive and a negative sample")
+    ap, ap_ok = _ap(s, y)
+    rl, rl_ok = _rl(s, y)
+    auc, auc_ok = _concordance(s.T, y.T)
     return MetricsReport(
-        ap=ap_total / ap_eval,
-        one_minus_rl=1.0 - rl_total / rl_eval,
-        auc=auc_total / auc_eval,
+        ap=_mean(ap, ap_ok, _NO_AP),
+        one_minus_rl=1.0 - _mean(rl, rl_ok, _NO_RL),
+        auc=_mean(auc, auc_ok, _NO_AUC),
         n_eval=s.shape[0],
-        skipped={"ap_samples": ap_skip, "rl_samples": rl_skip, "auc_labels": auc_skip},
+        skipped={"ap_samples": int((~ap_ok).sum()), "rl_samples": int((~rl_ok).sum()),
+                 "auc_labels": int((~auc_ok).sum())},
         meta=meta or {},
     )

@@ -281,6 +281,18 @@ class TestInvariantsUnderComposition:
             if loaded.n >= 4:
                 data.split(loaded, 0.5, seed=trial)
 
+    def test_mask_of_another_shape_raises(self):
+        # each would broadcast: hide a view or a category in every row
+        ds = data.make_synthetic(6, 3, 4, 2, [3, 3, 3], seed=0)
+        for kwargs, shape in (({"view_mask": [[1, 0, 1]]}, (6, 3)),
+                              ({"view_mask": np.ones((6, 1))}, (6, 3)),
+                              ({"label_mask": [1, 0, 1, 1]}, (6, 4)),
+                              ({"label_mask": np.ones((6, 3))}, (6, 4))):
+            with pytest.raises(DimensionMismatch) as info:
+                data.apply_masks(ds, **kwargs)
+            given = np.shape(next(iter(kwargs.values())))
+            assert str(given) in str(info.value) and str(shape) in str(info.value)
+
     def test_label_corruption_is_mask_only(self):
         ds = data.make_synthetic(40, 2, 5, 3, [4, 4], seed=4)
         g = data.simulate_missing_labels(ds.labels, 0.5, seed=4)

@@ -52,6 +52,15 @@ class TestLabelSimilarity:
         t, u = L.label_similarity(np.eye(3), np.ones((3, 3)))
         assert isinstance(t, np.ndarray) and isinstance(u, np.ndarray)
 
+    def test_mask_of_another_shape_raises(self):
+        # a 1-D or one-row mask would broadcast to U of shape () or (1, 1)
+        y = np.eye(4)[[0, 1, 2, 3, 0]]
+        g = np.ones((5, 4))
+        for labels, mask in ((y, g[0]), (y, g[:1]), (y, g.T), (y[0], g[0])):
+            with pytest.raises(DimensionMismatch) as info:
+                L.label_similarity(labels, mask)
+            assert str(mask.shape) in str(info.value) and str(labels.shape) in str(info.value)
+
 
 class TestEmbeddingSimilarity:
     def test_identical_vectors(self):
@@ -240,6 +249,17 @@ class TestMaskedBce:
     def test_degenerate_mask(self):
         with pytest.raises(DegenerateMask):
             L.masked_bce(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_mask_or_labels_of_another_shape_raise(self):
+        # a (c,) mask would broadcast over the rows and divide by one row's count
+        x = Tensor(np.zeros((5, 3)))
+        y = np.ones((5, 3))
+        for labels, mask in ((y, y[0]), (y, y[:1]), (y[0], y), (y.T, y.T)):
+            with pytest.raises(DimensionMismatch) as info:
+                L.masked_bce(x, labels, mask)
+            message = str(info.value)
+            assert str(labels.shape) in message and str(mask.shape) in message
+            assert "(5, 3)" in message
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)

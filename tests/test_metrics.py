@@ -44,8 +44,8 @@ class TestAveragePrecision:
     def test_no_positive_sample_skipped(self):
         scores = np.array([[0.9, 0.1], [0.2, 0.8]])
         labels = np.array([[0.0, 0.0], [1.0, 0.0]])
-        total, evaluated, skipped = mx._ap_with_counts(scores, labels)
-        assert evaluated == 1 and skipped == 1
+        values, ok = mx._ap(scores, labels)
+        assert ok.tolist() == [False, True] and values.shape == (1,)
 
     def test_all_degenerate_raises(self):
         with pytest.raises(NoEvaluableSamples):
@@ -165,6 +165,31 @@ class TestReport:
         assert report.one_minus_rl == mx.one_minus_ranking_loss(scores, labels)
         assert report.auc == mx.macro_auc(scores, labels)
 
+    def test_report_at_the_paper_label_scale(self):
+        # 12 rows of c = 260 labels (Corel5k's count); float32 sigmoids of
+        # wide logits saturate at 1, so the scores hold hundreds of ties
+        rng = np.random.default_rng(260)
+        z = (12.0 * rng.standard_normal((12, 260))).astype(np.float32)
+        scores = np.float32(1) / (np.float32(1) + np.exp(-z))
+        assert scores.size - np.unique(scores).size > 400
+        drawn = (rng.random((12, 260)) < 0.3).astype(float)
+        # an all-negative row and an all-positive column cannot share one
+        # matrix, so each gets its own
+        no_positive_row, all_positive_column = drawn.copy(), drawn.copy()
+        no_positive_row[4] = 0.0
+        all_positive_column[:, 17] = 1.0
+        for labels in (no_positive_row, all_positive_column):
+            report = mx.compute_report(scores, labels)
+            assert abs(report.ap - oracle_average_precision(scores, labels)) < 1e-12
+            assert abs(report.one_minus_rl - oracle_one_minus_ranking_loss(scores, labels)) < 1e-12
+            assert abs(report.auc - oracle_macro_auc(scores, labels)) < 1e-12
+            # the units each oracle leaves out
+            row_pos, col_pos = labels.sum(axis=1), labels.sum(axis=0)
+            assert report.skipped == {
+                "ap_samples": int((row_pos == 0).sum()),
+                "rl_samples": int(((row_pos == 0) | (row_pos == 260)).sum()),
+                "auc_labels": int(((col_pos == 0) | (col_pos == 12)).sum())}
+
 
 # A few values, signed zeros among them, so that most draws hold ties.
 TIED_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
@@ -194,16 +219,16 @@ class TestAgainstOraclesProperty:
         n_pos_col = labels.sum(axis=0)
         n, c = labels.shape
         cases = [
-            (mx.average_precision, mx._ap_with_counts, oracle_average_precision,
+            (mx.average_precision, mx._ap(scores, labels), oracle_average_precision,
              NoEvaluableSamples, n, int((n_pos_row == 0).sum())),
-            (mx.one_minus_ranking_loss, mx._rl_with_counts, oracle_one_minus_ranking_loss,
+            (mx.one_minus_ranking_loss, mx._rl(scores, labels), oracle_one_minus_ranking_loss,
              NoEvaluableSamples, n, int(((n_pos_row == 0) | (n_pos_row == c)).sum())),
-            (mx.macro_auc, mx._auc_with_counts, oracle_macro_auc,
+            (mx.macro_auc, mx._concordance(scores.T, labels.T), oracle_macro_auc,
              NoEvaluableLabels, c, int(((n_pos_col == 0) | (n_pos_col == n)).sum())),
         ]
-        for metric, with_counts, oracle, error, units, skipped in cases:
-            _, evaluated, counted = with_counts(scores, labels)
-            assert (evaluated, counted) == (units - skipped, skipped)
+        for metric, (values, ok), oracle, error, units, skipped in cases:
+            assert ok.shape == (units,) and values.shape == (units - skipped,)
+            assert int((~ok).sum()) == skipped
             expected = oracle(scores, labels)
             if expected is None:
                 with pytest.raises(error):
@@ -226,6 +251,7 @@ class TestAgainstOraclesProperty:
         assert report.one_minus_rl == mx.one_minus_ranking_loss(scores, labels)
         assert report.auc == mx.macro_auc(scores, labels)
         assert report.n_eval == scores.shape[0]
-        assert report.skipped == {"ap_samples": mx._ap_with_counts(scores, labels)[2],
-                                  "rl_samples": mx._rl_with_counts(scores, labels)[2],
-                                  "auc_labels": mx._auc_with_counts(scores, labels)[2]}
+        assert report.skipped == {
+            "ap_samples": int((~mx._ap(scores, labels)[1]).sum()),
+            "rl_samples": int((~mx._rl(scores, labels)[1]).sum()),
+            "auc_labels": int((~mx._concordance(scores.T, labels.T)[1]).sum())}
