@@ -852,17 +852,17 @@ def attention(qkv, heads: int, mask=None, first_only: bool = False) -> tuple[Ten
     ``qkv`` is (n, t, 3 * d): the query, key and value projections packed
     along the last axis. Each is split into ``heads`` heads of width
     d_h = d / heads. The scores ``q @ k^T / sqrt(d_h)`` of every head go
-    through ``softmax``, or ``masked_softmax`` when ``mask`` is given
-    ((n, t, t), or an (n, 1, t) key mask), to weights over the key axis,
-    which mix the values; the heads are then merged. Returns ``(mixed,
-    probs)``: the merged head outputs (n, r, d), recorded on the tape, and
-    the attention weights (n, heads, r, t) as a constant, gradient-free Tensor.
+    through ``softmax``, or ``masked_softmax`` when the (n, t) key ``mask``
+    is given (no query weights a token whose entry is 0; another shape
+    raises DimensionMismatch), to weights over the key axis, which mix the
+    values; the heads are then merged. Returns ``(mixed, probs)``: the merged
+    head outputs (n, r, d), recorded on the tape, and the attention weights
+    (n, heads, r, t) as a constant, gradient-free Tensor.
 
     r is t, or 1 with ``first_only``: then only the first token acts as a
-    query, every token still serves as a key and a value, only the first row
-    of an (n, t, t) ``mask`` is read, and the other query slots of ``qkv``
-    get zero gradient. Each output row depends on its own query only, so the
-    result is the first row of full attention.
+    query, every token still serves as a key and a value, and the other
+    query slots of ``qkv`` get zero gradient. Each output row depends on its
+    own query only, so the result is the first row of full attention.
 
     The head split and merge are views and reshapes, and the softmax runs
     on a plain array, so none of them records anything. The backward pass
@@ -879,6 +879,8 @@ def attention(qkv, heads: int, mask=None, first_only: bool = False) -> tuple[Ten
             f"heads={heads}, got {qkv.data.shape}"
         )
     n, t, d3 = qkv.data.shape
+    if mask is not None and np.shape(mask) != (n, t):
+        raise DimensionMismatch(f"attention's key mask is {np.shape(mask)}, not {(n, t)}")
     r = 1 if first_only else t
     d = d3 // 3
     d_h = d // heads
@@ -891,7 +893,7 @@ def attention(qkv, heads: int, mask=None, first_only: bool = False) -> tuple[Ten
     if mask is None:
         probs = softmax(scores)
     else:
-        probs = masked_softmax(scores, np.asarray(mask)[:, None, :r, :])
+        probs = masked_softmax(scores, np.asarray(mask)[:, None, None, :])
     p = probs.data
 
     def backward(g):

@@ -50,6 +50,19 @@ def _check_binary(arr: np.ndarray, name: str):
         raise NonBinary(f"{name} contains values outside {{0, 1}}")
 
 
+def check_view_mask(view_mask, shape) -> np.ndarray:
+    """The view mask as float64, once it has the given (n, m) ``shape``
+    (else DimensionMismatch), only 0/1 entries (else NonBinary) and a view
+    in every row (else EmptyRowMask)."""
+    w = np.asarray(view_mask, dtype=np.float64)
+    if w.shape != tuple(shape):
+        raise DimensionMismatch(f"view_mask is {w.shape}, not {tuple(shape)}")
+    _check_binary(w, "view_mask")
+    if not w.any(axis=1).all():
+        raise EmptyRowMask("every sample must keep at least one available view")
+    return w
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     """Immutable container for multi-view features, labels, and masks."""
@@ -75,13 +88,10 @@ class MultiViewDataset:
         for v, x in enumerate(views):
             if x.ndim != 2 or x.shape[0] != n:
                 raise DimensionMismatch(f"view {v} has shape {x.shape}; expected {n} rows")
-        for name, arr in (("labels", labels), ("view_mask", view_mask), ("label_mask", label_mask)):
+        check_view_mask(view_mask, (n, len(views)))
+        for name, arr in (("labels", labels), ("label_mask", label_mask)):
             if arr.ndim != 2 or arr.shape[0] != n:
                 raise DimensionMismatch(f"{name} has shape {arr.shape}; expected {n} rows")
-        if view_mask.shape[1] != len(views):
-            raise DimensionMismatch(
-                f"view_mask has {view_mask.shape[1]} columns for {len(views)} views"
-            )
         if label_mask.shape != labels.shape:
             raise DimensionMismatch(
                 f"label_mask shape {label_mask.shape} != labels shape {labels.shape}"
@@ -90,10 +100,7 @@ class MultiViewDataset:
             if not np.isfinite(x).all():
                 raise NonFiniteFeatures(f"view {v} has non-finite features (NaN or inf)")
         _check_binary(labels, "labels")
-        _check_binary(view_mask, "view_mask")
         _check_binary(label_mask, "label_mask")
-        if np.any(view_mask.sum(axis=1) == 0):
-            raise EmptyRowMask("every sample must keep at least one available view")
         for v, x in enumerate(views):
             if np.any(x[view_mask[:, v] == 0] != 0.0):
                 raise ValueError(f"view {v} has nonzero features on masked rows")

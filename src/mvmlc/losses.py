@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import check_view_mask
 from .errors import DegenerateMask, DimensionMismatch
 
 # Similarities are clamped here before any log; the floor sits comfortably
@@ -77,13 +78,11 @@ def graph_constraint_loss(view_states: Tensor, label_sim: np.ndarray,
     ordered pairs (i != j, both views available, U[i, j] = 1), then averaged
     over views with the 1/(2m) convention. Views without a single valid pair
     contribute zero; if no view has one, the loss is zero with a warning.
-    ``view_mask`` must be the states' (n, m).
+    ``view_mask`` is checked against the states' (n, m) by ``check_view_mask``.
     """
     n, m, _ = view_states.shape
-    if np.shape(view_mask) != (n, m):
-        raise DimensionMismatch(f"view_mask is {np.shape(view_mask)}, not {(n, m)}")
+    w = check_view_mask(view_mask, (n, m))
     dt = view_states.data.dtype
-    w = np.asarray(view_mask, dtype=np.float64)
     off_diag = 1.0 - np.eye(n)
     # (m, n, n) 0/1 pair weights; their sums are the exact per-view pair counts
     pair_w = w.T[:, :, None] * w.T[:, None, :] * pair_valid[None] * off_diag[None]

@@ -42,7 +42,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionMismatch, EmptyRowMask
+from .data import check_view_mask
+from .errors import DimensionMismatch
 
 CHECKPOINT_FORMAT = "mvmlc-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -223,15 +224,6 @@ def embed_views(views, params: ModelParams, rng=None) -> Tensor:
     return ad.stack(embedded, axis=1)
 
 
-def attention_mask(view_mask: np.ndarray) -> np.ndarray:
-    """Key mask (n, 1, m): each sample's availability row, shared by all its
-    query rows, so no view attends to a missing one."""
-    w = np.asarray(view_mask)
-    if np.any(w.sum(axis=-1) == 0):
-        raise EmptyRowMask("a sample has no available view")
-    return w[:, None, :]
-
-
 def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng,
                    first_only: bool = False) -> Tensor:
     """One pre-norm encoder layer over the tokens of x (n, t, d_e). With
@@ -288,11 +280,10 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
 
 
 def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams, rng=None) -> Tensor:
-    """Run all masked encoder layers over the (n, m, d_e) view embeddings;
-    ``view_mask`` is their (n, m) availability (see ``attention_mask``)."""
-    if np.shape(view_mask) != embedded.shape[:2]:
-        raise DimensionMismatch(f"view_mask is {np.shape(view_mask)}, not {embedded.shape[:2]}")
-    mask = attention_mask(view_mask)
+    """Run all masked encoder layers over the (n, m, d_e) view embeddings.
+    ``view_mask`` is their (n, m) availability (``check_view_mask``) and
+    each view layer's key mask, so no view attends to a missing one."""
+    mask = check_view_mask(view_mask, embedded.shape[:2])
     x = embedded
     for layer in range(params.config.layers_v):
         x = _encoder_layer(x, mask, params, f"view_enc.{layer}", rng)
@@ -306,13 +297,10 @@ def adaptive_fusion(states: Tensor, view_mask, weights: Tensor, gamma: float) ->
     over that sample's available views; missing views get weight 0. These
     (n, m) weights are normalized before they scale the states, in one
     weighted sum. The weight vector is learnable and receives gradient
-    through the fusion. ``view_mask`` must be the states' (n, m).
+    through the fusion. ``view_mask`` is checked against the states' (n, m)
+    by ``check_view_mask``.
     """
-    if np.shape(view_mask) != states.shape[:2]:
-        raise DimensionMismatch(f"view_mask is {np.shape(view_mask)}, not {states.shape[:2]}")
-    w = np.asarray(view_mask, dtype=states.dtype)
-    if np.any(w.sum(axis=-1) == 0):
-        raise EmptyRowMask("a sample has no available view to fuse")
+    w = check_view_mask(view_mask, states.shape[:2])
     n, m = w.shape
     raw = ad.exp(weights ** gamma) * w
     norm = raw / raw.sum(axis=1, keepdims=True)

@@ -141,15 +141,16 @@ def composed_attention(qkv, heads, mask=None):
 
     q, k, v = split(0), split(1), split(2)
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_h))
-    probs = ad.softmax(scores) if mask is None else ad.masked_softmax(scores, mask[:, None])
+    probs = (ad.softmax(scores) if mask is None
+             else ad.masked_softmax(scores, mask[:, None, None, :]))
     mixed = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)).reshape((n, t, d))
     return mixed, probs
 
 
 def view_style_mask(rng, n, t):
-    """Random (n, t, t) 0/1 mask whose rows all keep their diagonal."""
-    mask = (rng.random((n, t, t)) < 0.6).astype(float)
-    mask[:, np.arange(t), np.arange(t)] = 1.0
+    """Random (n, t) 0/1 key mask, like a view mask: every row keeps a token."""
+    mask = (rng.random((n, t)) < 0.6).astype(float)
+    mask[np.arange(n), rng.integers(t, size=n)] = 1.0
     return mask
 
 
@@ -192,24 +193,32 @@ class TestAttention:
     def test_masked_key_gets_zero_weight_and_gradient(self):
         rng = np.random.default_rng(25)
         qkv = ad.Tensor(rng.standard_normal((1, 3, 6)), requires_grad=True)
-        mask = np.ones((1, 3, 3))
-        mask[0, :2, 2] = 0  # rows 0 and 1 may not attend to token 2
+        mask = np.array([[1.0, 1.0, 0.0]])  # no query may attend to token 2
         with ad.Tape() as tape:
             mixed, probs = ad.attention(qkv, 1, mask)
-            tape.backward(mixed[:, :2].sum())
-        assert np.all(probs.data[0, 0, :2, 2] == 0.0)
-        # the mask leaves token 2 feeding only its own row, which the loss ignores
-        np.testing.assert_array_equal(qkv.grad[0, 2], 0.0)
+            tape.backward(mixed.sum())
+        assert np.all(probs.data[0, 0, :, 2] == 0.0)
+        # token 2 is nobody's key or value, so those slots get no gradient,
+        # while its query still reads tokens 0 and 1
+        np.testing.assert_array_equal(qkv.grad[0, 2, 2:], 0.0)
+        assert np.all(probs.data[0, 0, 2, :2] > 0.0)
 
     @pytest.mark.parametrize("attend", [ad.attention, composed_attention])
     def test_mask_errors(self, attend):
         qkv = ad.Tensor(np.zeros((2, 3, 6)))
         with pytest.raises(NonBinary):
-            attend(qkv, 1, np.full((2, 3, 3), 0.5))
-        mask = np.ones((2, 3, 3))
-        mask[1, 2] = 0
+            attend(qkv, 1, np.full((2, 3), 0.5))
+        mask = np.ones((2, 3))
+        mask[1] = 0  # sample 1 has no key left
         with pytest.raises(AllMaskedRow):
             attend(qkv, 1, mask)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 1, 3), (1, 3), (2, 2), (3, 2), (3,)])
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_mask_not_n_by_t_is_rejected(self, shape, first_only):
+        # only the (n, t) key mask is accepted, whatever rows are queries
+        with pytest.raises(DimensionMismatch, match=r"\(2, 3\)"):
+            ad.attention(ad.Tensor(np.zeros((2, 3, 6))), 1, np.ones(shape), first_only)
 
     def test_bad_packing(self):
         with pytest.raises(DimensionMismatch):
@@ -372,9 +381,9 @@ class TestFusedRecords:
         inputs, build = {
             "linear": ([tensor(2, 3, 4), tensor(4, 5), tensor(5)], lambda ts: ad.linear(*ts)),
             "attention": ([tensor(2, 3, 12)],
-                          lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)))[0]),
+                          lambda ts: ad.attention(ts[0], 2, np.ones((2, 3)))[0]),
             "attention_first_only": ([tensor(2, 3, 12)],
-                                     lambda ts: ad.attention(ts[0], 2, np.ones((2, 3, 3)),
+                                     lambda ts: ad.attention(ts[0], 2, np.ones((2, 3)),
                                                              first_only=True)[0]),
             "shared_token_attention": ([tensor(5, 12)],
                                        lambda ts: ad.shared_token_attention(ts[0], 2, 2)),
@@ -1028,7 +1037,7 @@ RECORDING_BUILDS = {
     "clamp_min": lambda r: ad.clamp_min(_leaf(r, 3), 1.0),
     "softmax": lambda r: ad.softmax(_leaf(r, 2, 3)),
     "masked_softmax": lambda r: ad.masked_softmax(_leaf(r, 2, 3), np.array([1, 0, 1])),
-    "attention": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, np.ones((2, 1, 3)))[0],
+    "attention": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, np.ones((2, 3)))[0],
     "attention_first_only": lambda r: ad.attention(_leaf(r, 2, 3, 12), 2, first_only=True)[0],
     "shared_token_attention": lambda r: ad.shared_token_attention(_leaf(r, 5, 12), 2, 2),
     "bce_with_logits": lambda r: ad.bce_with_logits(_leaf(r, 2, 3), np.eye(2, 3),

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mvmlc import data
+from mvmlc import data, losses, model
+from mvmlc.autodiff import Tensor
 from mvmlc.errors import (
     DegenerateSplit,
     DimensionMismatch,
@@ -300,3 +301,54 @@ class TestInvariantsUnderComposition:
         known = corrupted.label_mask == 1.0
         np.testing.assert_array_equal(corrupted.labels[known], ds.labels[known])
         np.testing.assert_array_equal(corrupted.labels[~known], 0.0)
+
+
+def _mask_with(row, value):
+    w = np.ones((4, 3))
+    w[row] = value
+    return w
+
+
+BAD_VIEW_MASKS = {
+    "one_row": (np.ones((1, 3)), DimensionMismatch),
+    "two_views": (np.ones((4, 2)), DimensionMismatch),
+    "half": (_mask_with(1, [1.0, 0.5, 1.0]), NonBinary),
+    "two": (_mask_with(1, [1.0, 2.0, 1.0]), NonBinary),
+    "minus_one": (_mask_with(1, [1.0, -1.0, 1.0]), NonBinary),
+    "empty_row": (_mask_with(2, 0.0), EmptyRowMask),
+}
+
+# every caller of check_view_mask, on n = 4 samples and m = 3 views
+VIEW_MASK_CALLERS = {
+    "dataset": lambda w: data.MultiViewDataset(
+        views=[np.zeros((4, 2))] * 3, labels=np.zeros((4, 2)), view_mask=w,
+        label_mask=np.ones((4, 2))),
+    "view_encoder": lambda w: model.view_encoder_forward(
+        Tensor(np.zeros((4, 3, 4))), w, model.ModelParams.initialize(
+            model.ModelConfig(d_e=4, heads=2, dtype="float64"), [2, 2, 2], 2)),
+    "fusion": lambda w: model.adaptive_fusion(
+        Tensor(np.zeros((4, 3, 4))), w, Tensor(np.ones(3)), 2.0),
+    "graph_constraint": lambda w: losses.graph_constraint_loss(
+        Tensor(np.ones((4, 3, 4))), np.ones((4, 4)), np.ones((4, 4)), w),
+}
+
+
+class TestCheckViewMask:
+    @pytest.mark.parametrize("caller", VIEW_MASK_CALLERS)
+    @pytest.mark.parametrize("case", BAD_VIEW_MASKS)
+    def test_every_caller_raises_the_same_typed_error(self, caller, case):
+        mask, error = BAD_VIEW_MASKS[case]
+        with pytest.raises(error) as info:
+            VIEW_MASK_CALLERS[caller](mask)
+        if error is DimensionMismatch:
+            assert str(info.value) == f"view_mask is {mask.shape}, not (4, 3)"
+
+    @pytest.mark.parametrize("caller", VIEW_MASK_CALLERS)
+    def test_every_caller_accepts_a_valid_mask(self, caller):
+        VIEW_MASK_CALLERS[caller](_mask_with(1, [0.0, 1.0, 0.0]))
+
+    def test_returns_float64_of_any_0_1_dtype(self):
+        for mask in ([[1, 0], [0, 1]], np.eye(2, dtype=bool), np.eye(2, dtype=np.float32)):
+            w = data.check_view_mask(mask, (2, 2))
+            assert w.dtype == np.float64
+            np.testing.assert_array_equal(w, np.eye(2))

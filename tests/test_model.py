@@ -95,7 +95,7 @@ class TestMaskedSelfAttention:
     def test_uniform_attention_for_identical_rows(self):
         params = tiny_params(dropout=0.0)
         x = Tensor(np.tile(np.linspace(-1, 1, 8), (1, 3, 1)))
-        mask = M.attention_mask(np.ones((1, 3)))
+        mask = np.ones((1, 3))  # the view mask is the key mask
         normed = ad.layer_norm(x, params["view_enc.0.ln1_g"], params["view_enc.0.ln1_b"])
         _, probs = attend(normed, mask, params, "view_enc.0")
         np.testing.assert_allclose(probs.data, 1.0 / 3.0, atol=1e-12)
@@ -126,8 +126,7 @@ class TestMaskedSelfAttention:
         a_ref = e / e.sum(axis=1, keepdims=True)
         h_ref = a_ref @ v
 
-        mixed, probs = attend(Tensor(u.reshape(1, 2, 2)), M.attention_mask(np.ones((1, 2))),
-                              params, "view_enc.0")
+        mixed, probs = attend(Tensor(u.reshape(1, 2, 2)), np.ones((1, 2)), params, "view_enc.0")
         np.testing.assert_allclose(probs.data[0, 0], a_ref, atol=1e-9)
         np.testing.assert_allclose(mixed.data[0], h_ref, atol=1e-9)
 
@@ -162,7 +161,7 @@ class TestViewEncoder:
         params = tiny_params(view_dims=(5,), dropout=0.0)
         rng = np.random.default_rng(4)
         emb = M.embed_views([rng.standard_normal((3, 5))], params)
-        mask = M.attention_mask(np.ones((3, 1)))
+        mask = np.ones((3, 1))
         normed = ad.layer_norm(emb, params["view_enc.0.ln1_g"], params["view_enc.0.ln1_b"])
         _, probs = attend(normed, mask, params, "view_enc.0")
         np.testing.assert_allclose(probs.data, 1.0)  # 1x1 softmax
