@@ -36,6 +36,7 @@ the embedding width.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -426,12 +427,14 @@ def _pack_qkv(arrays: dict[str, np.ndarray], path) -> None:
 def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file; a file of any other layout, or a
     header that lacks a field or whose config keys differ from
-    ``ModelConfig``'s, raises ValueError naming it. The parameters must have
-    the names, shapes and dtypes of ``ModelParams.initialize`` for the
-    header's config, view dims and label count: they are copied into such a
-    fresh model, and the first that does not fit raises ValueError naming
-    it. Version-1 files, with unpacked Q/K/V weights, load by packing
-    (``_pack_qkv``)."""
+    ``ModelConfig``'s, raises ValueError naming it. Every entry but
+    ``__meta__`` must be ``param:<name>`` for a name the header lists, one
+    entry per listed name, or ValueError names the odd entries. The
+    parameters must have the names, shapes and dtypes of
+    ``ModelParams.initialize`` for the header's config, view dims and label
+    count: they are copied into such a fresh model, and the first that does
+    not fit raises ValueError naming it. Version-1 files, with unpacked
+    Q/K/V weights, load by packing (``_pack_qkv``)."""
     bundle = np.load(path)
     if not isinstance(bundle, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
@@ -453,9 +456,12 @@ def load_checkpoint(path) -> ModelParams:
             config = ModelConfig(**meta["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path} has a malformed header: {type(exc).__name__}: {exc}") from exc
-        missing = [name for name in names if f"param:{name}" not in bundle.files]
-        if missing:
-            raise ValueError(f"{path} lists parameters it does not hold: {missing}")
+        # +1 per listed name, -1 per stored entry: any nonzero count is odd
+        counts = Counter(f"param:{name}" for name in names)
+        counts.subtract(key for key in bundle.files if key != "__meta__")
+        odd = sorted(key for key, count in counts.items() if count)
+        if odd:
+            raise ValueError(f"{path} does not hold one param: entry per listed name: {odd}")
         arrays = {name: bundle[f"param:{name}"] for name in names}
     if version == 1:
         _pack_qkv(arrays, path)

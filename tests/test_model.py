@@ -542,6 +542,19 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=name):
                 M.load_checkpoint(tmp_path / name)
 
+    def test_rejects_entries_that_do_not_match_the_names(self, tmp_path):
+        good = tmp_path / "good.ckpt"
+        M.save_checkpoint(tiny_params(), good)
+        with np.load(good) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        np.savez(tmp_path / "stray.npz", **arrays, **{"param:stray": np.zeros(3)})
+        write_with_meta(good, tmp_path / "twice.npz",
+                        lambda meta: meta["names"].append("embed.0.w1"))
+        for name, entry in (("stray.npz", "param:stray"), ("twice.npz", "param:embed.0.w1")):
+            with pytest.raises(ValueError, match=name) as info:
+                M.load_checkpoint(tmp_path / name)
+            assert f"['{entry}']" in str(info.value)
+
     @staticmethod
     def _as_version_1(params, path, drop=()):
         """Write params as a version-1 file would hold them: each packed
