@@ -265,9 +265,16 @@ def train(
     raises ``DegenerateMask``, since the pair losses need pairs. Each epoch
     splits one permutation of them into ``TrainConfig``'s near-equal
     batches. Non-finite losses abort with the failing step in the message.
+    An ``eval_dataset`` whose view widths or label count differ from the
+    training set's raises ``DimensionMismatch`` before the first step.
     The first call in a process sets glibc's heap thresholds (see the module
     docstring), which outlive it.
     """
+    if eval_dataset is not None and (eval_dataset.view_dims, eval_dataset.c) != (
+            dataset.view_dims, dataset.c):
+        raise DimensionMismatch(
+            f"eval_dataset has view dims {eval_dataset.view_dims} and {eval_dataset.c} labels, "
+            f"the training set {dataset.view_dims} and {dataset.c}")
     keep_freed_heap()
     labelled = dataset.label_mask.any(axis=1)
     if np.count_nonzero(labelled) < 2:

@@ -495,6 +495,21 @@ class TestTrain:
         evals = [r.eval_report for r in history.records]
         assert evals[0] is None and evals[1] is not None and evals[3] is not None
 
+    @pytest.mark.parametrize("views, c", [([6, 5], 5), ([6, 7], 4), ([6, 5, 7], 4)])
+    def test_eval_dataset_mismatch_raises_before_any_step(self, monkeypatch, views, c):
+        calls = []
+
+        def counted_forward(*args, **kwargs):
+            calls.append(1)
+            return M.forward(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "forward", counted_forward)
+        other = data.make_synthetic(30, len(views), c, 4, views, seed=2)
+        mc, tc = small_configs(epochs=20, eval_every=20)
+        with pytest.raises(DimensionMismatch, match="eval_dataset"):
+            train(mc, tc, small_dataset(), eval_dataset=other)
+        assert calls == []
+
     def test_history_jsonl_round_trip(self, tmp_path):
         ds = small_dataset()
         mc, tc = small_configs(epochs=2)
