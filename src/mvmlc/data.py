@@ -6,6 +6,10 @@ G (n x c). Missing entries are zero-filled: features of an unavailable view
 and labels of an unknown entry are exactly 0, so the masks are the single
 source of truth about what is observed.
 
+The view mask's rule lives in one place, ``check_view_mask``: the mask is
+(n, m), holds only 0 and 1, and keeps a view in every row. The dataset, the
+view encoder, the fusion and the graph constraint all call it.
+
 File format: a JSON manifest with keys ``views`` (ordered list of CSV paths),
 ``labels`` and optional ``view_mask`` / ``label_mask``. Matrix files are
 headerless comma-separated CSV, one sample per row; feature files must be

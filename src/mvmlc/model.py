@@ -22,9 +22,11 @@ computes the consensus row only, and the per-class token heads do not run.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
-vector, or any prediction. Missing views are masked as attention keys, whose
-weights underflow to exactly 0, so the guarantee is bit-exact. A missing
-view's own row is computed but never read, and gets exactly zero gradient.
+vector, or any prediction. The (n, m) view mask, checked by
+``data.check_view_mask``, is each view layer's key mask: missing views get
+attention weights that underflow to exactly 0, so the guarantee is
+bit-exact. A missing view's own row is computed but never read, and gets
+exactly zero gradient.
 
 Encoder blocks use pre-layer-norm residual wiring. Each layer packs its
 query, key and value weights side by side in one (d_e, 3 d_e) parameter,
