@@ -114,6 +114,7 @@ from .errors import (
     DoubleBackward,
     NonBinary,
     NonScalarLoss,
+    RepeatedIndex,
 )
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -580,17 +581,66 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     return _make(np.stack([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
+def _check_unique(key, shape: tuple[int, ...]):
+    """Raise ``RepeatedIndex`` if the integer arrays of ``key``, one per
+    leading axis of ``shape`` that they index, name one position twice."""
+    flat, size = None, 1
+    for part, dim in zip(key if isinstance(key, tuple) else (key,), shape):
+        if isinstance(part, (np.ndarray, list)) and np.asarray(part).dtype.kind in "iu":
+            part = np.asarray(part) % dim
+            flat = part if flat is None else flat * dim + part
+            size *= dim
+    if flat is None:
+        return
+    seen = np.zeros(size, bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) != np.size(flat):
+        raise RepeatedIndex(f"an index names one of {size} positions more than once")
+
+
 def take(a, key) -> Tensor:
-    """Basic (non-fancy) indexing; gradient scatters back into zeros."""
+    """``a[key]``; the gradient scatters back into zeros.
+
+    ``key`` is a basic key (integers, slices) or holds integer arrays, one
+    per leading axis it indexes (``a[rows]``, ``a[rows, cols]``): a gather
+    of unique positions. The backward assigns each output gradient to its
+    position, so an integer array that names a position twice would drop
+    all but one of that position's gradients: when the gather is recorded,
+    such a key raises ``RepeatedIndex``.
+    """
     a = _as_tensor(a)
     shape, dtype = a.data.shape, a.data.dtype
+    out = a.data[key]
+    if a.requires_grad and _active_tape() is not None:
+        _check_unique(key, shape)
 
     def backward(g):
         ga = np.zeros(shape, dtype)
         ga[key] = g
         return (ga,)
 
-    return _make(a.data[key], (a,), backward)
+    return _make(out, (a,), backward)
+
+
+def scatter_rows(x, index, shape) -> Tensor:
+    """Rows of ``x`` placed at ``index`` in zeros of ``shape + x.shape[1:]``.
+
+    ``index`` is an integer array, or a tuple of them, one per axis of
+    ``shape``, naming the position of each of ``x``'s rows; a position
+    named twice raises ``RepeatedIndex``. Every other position holds exact
+    zeros. The backward is the gather ``g[index]``, so it is ``take``'s
+    adjoint: ``take(scatter_rows(x, index, shape), index)`` is ``x``.
+    """
+    x = _as_tensor(x)
+    index = index if isinstance(index, tuple) else (index,)
+    rows = len(x.data)
+    if len(index) != len(shape) or any(len(i) != rows for i in index):
+        raise DimensionMismatch(f"scatter_rows needs {len(shape)} index arrays of {rows} "
+                                f"rows into {tuple(shape)}")
+    _check_unique(index, shape)
+    out = np.zeros(tuple(shape) + x.data.shape[1:], x.data.dtype)
+    out[index] = x.data
+    return _make(out, (x,), lambda g: (g[index],))
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -238,7 +238,7 @@ def cmd_gradcheck(args) -> int:
     t, u = losses.label_similarity(ds.labels, ds.label_mask)
 
     def loss():
-        out = forward(ds.views, ds.view_mask, params)
+        out = forward(ds.views, ds.view_mask, params, label_mask=ds.label_mask)
         return objective(out, ds.labels, ds.label_mask, ds.view_mask, t, u,
                          options["alpha"], options["beta"])[0]
 

@@ -40,9 +40,24 @@ MANIFEST_NAME = "manifest.json"
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
+    """``arr`` as a read-only C-contiguous float64 array. A writeable array
+    is copied, so the caller's own array stays writeable and writing to it
+    cannot reach the dataset; one that is already read-only float64 and
+    C-contiguous, as every dataset's own arrays are, is shared."""
+    arr = np.asarray(arr)
+    if arr.flags.writeable or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        arr = np.array(arr, dtype=np.float64, order="C")
+        arr.setflags(write=False)
     return arr
+
+
+def _adopt(views, labels, view_mask, label_mask) -> "MultiViewDataset":
+    """A dataset of arrays this module has just made and holds nowhere else:
+    they are frozen in place rather than copied."""
+    for arr in (*views, labels, view_mask, label_mask):
+        arr.setflags(write=False)
+    return MultiViewDataset(views=list(views), labels=labels, view_mask=view_mask,
+                            label_mask=label_mask)
 
 
 def _zero_fill(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -134,12 +149,8 @@ class MultiViewDataset:
         copied once.
         """
         idx = np.asarray(indices, dtype=int)
-        return MultiViewDataset(
-            views=[x[idx] for x in self.views],
-            labels=self.labels[idx],
-            view_mask=self.view_mask[idx],
-            label_mask=self.label_mask[idx],
-        )
+        return _adopt([x[idx] for x in self.views], self.labels[idx], self.view_mask[idx],
+                      self.label_mask[idx])
 
 
 def apply_masks(
@@ -160,7 +171,7 @@ def apply_masks(
     g = ds.label_mask if label_mask is None else ds.label_mask * np.asarray(label_mask, dtype=np.float64)
     views = [_zero_fill(x, w[:, v : v + 1]) for v, x in enumerate(ds.views)]
     labels = _zero_fill(ds.labels, g)
-    return MultiViewDataset(views=views, labels=labels, view_mask=w, label_mask=g)
+    return _adopt(views, labels, w, g)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +233,7 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         warnings.warn("zero-filling labels at masked entries")
         labels = _zero_fill(labels, label_mask)
 
-    return MultiViewDataset(views=views, labels=labels, view_mask=view_mask, label_mask=label_mask)
+    return _adopt(views, labels, view_mask, label_mask)
 
 
 def save_dataset(ds: MultiViewDataset, out_dir) -> Path:
@@ -356,12 +367,7 @@ def make_synthetic(
     )
     labels = (scores > thresholds[None, :]).astype(np.float64)
 
-    return MultiViewDataset(
-        views=views,
-        labels=labels,
-        view_mask=np.ones((n, m)),
-        label_mask=np.ones((n, c)),
-    )
+    return _adopt(views, labels, np.ones((n, m)), np.ones((n, c)))
 
 
 def split(ds: MultiViewDataset, train_ratio: float, seed: int):

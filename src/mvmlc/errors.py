@@ -5,6 +5,10 @@ class DimensionMismatch(ValueError):
     """Operand or file shapes do not agree."""
 
 
+class RepeatedIndex(ValueError):
+    """An integer-array gather or scatter names one position twice."""
+
+
 class AllMaskedRow(ValueError):
     """A softmax row has no unmasked position to attend to."""
 

@@ -16,17 +16,25 @@ The heads emit logits, and the losses work in logit space. ``forward``
 applies the sigmoid only at the edge, to the main head's values, to give
 ``ForwardPass.p_main``, which ``evaluate`` ranks. It is computed off the
 tape: no loss reads it, so it carries no gradient and a training step
-records no sigmoid. Only the training loss reads the class tokens, so
-evaluation runs ``forward(..., tokens=False)``: the last class-token layer
-computes the consensus row only, and the per-class token heads do not run.
+records no sigmoid.
+
+Only observed entries are computed. The view side runs each view's
+embedding MLP, and every view layer's row-wise work, over one packed
+stream of the P present (sample, view) rows; attention alone sees the
+(n, m) grid. The class side runs all c + 1 tokens up to the last layer,
+whose tail and the token heads run over the n consensus rows and the K
+(sample, label) entries of the batch's label mask, the only tokens a loss
+reads. Evaluation passes no label mask, so K = 0 and the last class layer
+computes the consensus query alone.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
 with availability 0 never influence any available view's state, the fused
 vector, or any prediction. The (n, m) view mask, checked by
 ``data.check_view_mask``, is each view layer's key mask: missing views get
 attention weights that underflow to exactly 0, so the guarantee is
-bit-exact. A missing view's own row is computed but never read, and gets
-exactly zero gradient.
+bit-exact. A missing view's own row is never computed: its features are
+never read, its slot of the embeddings and of the view states holds exact
+zeros, and NaN features there reach no output and no gradient.
 
 Encoder blocks use pre-layer-norm residual wiring. Each layer packs its
 query, key and value weights side by side in one (d_e, 3 d_e) parameter,
@@ -46,7 +54,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import check_view_mask
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonBinary
 
 CHECKPOINT_FORMAT = "mvmlc-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -211,36 +219,52 @@ def _mlp_block(x: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
     return ad.dropout(h, cfg.dropout, rng)
 
 
-def embed_views(views, params: ModelParams, rng=None) -> Tensor:
-    """Map per-view data arrays (n x d_v each) into a shared (n, m, d_e) tensor."""
+def embed_views(views, view_mask, params: ModelParams, rng=None) -> Tensor:
+    """Map per-view data arrays (n x d_v each) into a shared (n, m, d_e) grid.
+
+    Each view's MLP runs over that view's present rows only, by the (n, m)
+    ``view_mask`` (``check_view_mask``), and its output is scattered into
+    the view's column: a missing slot's features are never read, and the
+    slot holds exact zeros."""
     if len(views) != len(params.view_dims):
         raise DimensionMismatch(f"got {len(views)} views for a {len(params.view_dims)}-view model")
-    dt = params.config.np_dtype
-    embedded = []
+    n = np.shape(views[0])[0] if np.ndim(views[0]) else 0
     for v, x in enumerate(views):
-        x = np.asarray(x, dtype=dt)
-        if x.ndim != 2 or x.shape[1] != params.view_dims[v]:
+        if np.shape(x) != (n, params.view_dims[v]):
             raise DimensionMismatch(
-                f"view {v} has shape {x.shape}; expected (n, {params.view_dims[v]})"
+                f"view {v} has shape {np.shape(x)}; expected ({n}, {params.view_dims[v]})"
             )
-        embedded.append(_mlp_block(Tensor(x), params, f"embed.{v}.", rng))
-    return ad.stack(embedded, axis=1)
+    mask = check_view_mask(view_mask, (n, len(views)))
+    dt = params.config.np_dtype
+    columns = []
+    for v, x in enumerate(views):
+        rows = np.flatnonzero(mask[:, v])
+        h = _mlp_block(Tensor(np.asarray(x)[rows], dtype=dt), params, f"embed.{v}.", rng)
+        columns.append(ad.scatter_rows(h, rows, (n,)))
+    return ad.stack(columns, axis=1)
 
 
-def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng,
-                   first_only: bool = False) -> Tensor:
-    """One pre-norm encoder layer over the tokens of x (n, t, d_e). With
-    ``first_only`` it returns only the first token, (n, 1, d_e): every
-    token's output depends on its own query alone, so only that token's
-    query is computed, while all t tokens still serve as keys and values."""
+def _qkv(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
+    """The layer's packed query/key/value projections of its normed input."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])
-    mixed, _ = ad.attention(ad.linear(normed, params[f"{prefix}.wqkv"]), params.config.heads,
-                            mask, first_only)
-    return _encoder_tail(x[:, :1] if first_only else x, mixed, params, prefix, rng)
+    return ad.linear(normed, params[f"{prefix}.wqkv"])
+
+
+def _mix(x: Tensor, mask, params: ModelParams, prefix: str, first_only: bool = False) -> Tensor:
+    """The layer's attention output over the tokens of x (n, t, d_e). With
+    ``first_only`` only the first token's query is computed and the output
+    is (n, 1, d_e), while all t tokens still serve as keys and values."""
+    return ad.attention(_qkv(x, params, prefix), params.config.heads, mask, first_only)[0]
+
+
+def _encoder_layer(x: Tensor, mask, params: ModelParams, prefix: str, rng) -> Tensor:
+    """One pre-norm encoder layer over the tokens of x (n, t, d_e)."""
+    return _encoder_tail(x, _mix(x, mask, params, prefix), params, prefix, rng)
 
 
 def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
-    """Output projection, attention residual, and the pre-norm MLP residual."""
+    """Output projection, attention residual, and the pre-norm MLP residual,
+    all row-wise: x and mixed may be any matching (..., d_e) rows."""
     cfg = params.config
     # no name on the projection or the normed stream: when no backward reads
     # their data, it is freed as soon as the next primitive has consumed it
@@ -250,47 +274,56 @@ def _encoder_tail(x: Tensor, mixed: Tensor, params: ModelParams, prefix: str, rn
                           params, f"{prefix}.mlp_", rng)
 
 
-def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng,
-                        first_only: bool = False) -> Tensor:
-    """An encoder layer over [fused, cls] tokens whose c class tokens are the
-    same for every sample.
+def _shared_token_mix(fused: Tensor, params: ModelParams, prefix: str,
+                      first_only: bool = False) -> Tensor:
+    """The attention of an encoder layer over [fused, cls] tokens whose c
+    class tokens are the same for every sample, (n, c + 1, d_e).
 
     LayerNorm-1 and the Q/K/V projections are row-wise, so the class tokens
     need them once, not once per sample: the n fused rows and the c class
     tokens are normalized and projected together as one (n + c, d_e) matrix.
     ``ad.shared_token_attention`` then computes the class-to-class block of
     the attention once and merges each sample's own key and value into it,
-    so no class row is copied per sample. The output equals
-    ``_encoder_layer`` over the concatenated tokens up to rounding.
-
-    ``first_only`` is as in ``_encoder_layer``: the layer returns only the
-    fused token's output, (n, 1, d_e), so its residual is ``fused`` alone.
+    so no class row is copied per sample. The output equals ``_mix`` over
+    the concatenated tokens up to rounding; ``first_only`` is as there.
     """
+    qkv = _qkv(ad.concat([fused, params["cls"]], axis=0), params, prefix)
+    return ad.shared_token_attention(qkv, fused.shape[0], params.config.heads, first_only)
+
+
+def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
+    """An encoder layer over [fused, cls] tokens (``_shared_token_mix``),
+    (n, c + 1, d_e); it equals ``_encoder_layer`` over them up to rounding."""
     n, d = fused.shape
-    c = params.n_labels
-    cls = params["cls"]
-    normed = ad.layer_norm(ad.concat([fused, cls], axis=0), params[f"{prefix}.ln1_g"],
-                           params[f"{prefix}.ln1_b"])
-    mixed = ad.shared_token_attention(ad.linear(normed, params[f"{prefix}.wqkv"]), n,
-                                      params.config.heads, first_only)
+    mixed = _shared_token_mix(fused, params, prefix)
     # The (n, c + 1, d) residual stream is built after the attention's
     # temporaries are gone and handed on unnamed: no backward reads it, so
     # the tail frees it at its first residual.
-    first = fused.reshape((n, 1, d))
-    return _encoder_tail(
-        first if first_only else ad.concat([first, ad.broadcast_to(cls, (n, c, d))], axis=1),
-        mixed, params, prefix, rng)
+    tokens = ad.concat([fused.reshape((n, 1, d)),
+                        ad.broadcast_to(params["cls"], (n, params.n_labels, d))], axis=1)
+    return _encoder_tail(tokens, mixed, params, prefix, rng)
 
 
 def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams, rng=None) -> Tensor:
-    """Run all masked encoder layers over the (n, m, d_e) view embeddings.
-    ``view_mask`` is their (n, m) availability (``check_view_mask``) and
-    each view layer's key mask, so no view attends to a missing one."""
+    """Run all masked encoder layers over the (n, m, d_e) view embeddings;
+    returns the (n, m, d_e) view states, exact zeros at missing slots.
+
+    ``view_mask`` is their (n, m) availability (``check_view_mask``). The P
+    present (sample, view) rows form one packed (P, d_e) stream, and each
+    layer's LayerNorms, projections, residuals and MLP run over it alone.
+    Attention scatters the stream's Q/K/V into the (n, m) grid, where the
+    view mask is the key mask, so no view attends to a missing one, and
+    gathers the present rows of its output back. A missing slot is never
+    read, so its embedding, even NaN, cannot reach any output."""
     mask = check_view_mask(view_mask, embedded.shape[:2])
-    x = embedded
+    present = np.nonzero(mask)
+    x = embedded[present]
     for layer in range(params.config.layers_v):
-        x = _encoder_layer(x, mask, params, f"view_enc.{layer}", rng)
-    return x
+        prefix = f"view_enc.{layer}"
+        grid = ad.scatter_rows(_qkv(x, params, prefix), present, mask.shape)
+        mixed, _ = ad.attention(grid, params.config.heads, mask)
+        x = _encoder_tail(x, mixed[present], params, prefix, rng)
+    return ad.scatter_rows(x, present, mask.shape)
 
 
 def adaptive_fusion(states: Tensor, view_mask, weights: Tensor, gamma: float) -> Tensor:
@@ -316,75 +349,117 @@ def fusion_weights(params: ModelParams) -> np.ndarray:
     return np.exp(np.power(a, params.config.gamma))
 
 
+# (sample, label) index pairs of no known label: the consensus-only case
+NO_LABELS = (np.zeros(0, np.intp), np.zeros(0, np.intp))
+
+
+def known_pairs(label_mask, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The (sample, label) index arrays of the known entries of an (n, c)
+    0/1 ``label_mask``, in row-major order; ``NO_LABELS`` for no mask. A
+    mask of another shape raises DimensionMismatch, other values NonBinary."""
+    if label_mask is None:
+        return NO_LABELS
+    g = np.asarray(label_mask)
+    if g.shape != tuple(shape):
+        raise DimensionMismatch(f"label_mask is {g.shape}, not {tuple(shape)}")
+    if not np.all((g == 0) | (g == 1)):
+        raise NonBinary("label_mask entries must be exactly 0 or 1")
+    return np.nonzero(g)
+
+
 def class_token_encoder_forward(fused: Tensor, params: ModelParams, rng=None,
-                                tokens: bool = True):
+                                known=NO_LABELS):
     """Unmasked encoder over [fused sample vector, c class tokens].
 
     Returns (consensus, class_states): the first output token (n, d_e) and
-    the per-sample class-token states (n, c, d_e). The same learned tokens
-    feed every sample; attention specializes them per sample. Layer 0 sees
-    the class tokens before any sample has touched them, so it projects them
-    and computes their class-to-class attention once per batch
-    (``_shared_token_layer``), equal to the per-sample layer up to rounding;
-    deeper layers run per sample.
+    the (K, d_e) states of the K class tokens that ``known`` names, a pair
+    of (sample, label) index arrays without repeats (``known_pairs``). The
+    same learned tokens feed every sample; attention specializes them per
+    sample. Layer 0 sees the class tokens before any sample has touched
+    them, so it projects them and computes their class-to-class attention
+    once per batch (``_shared_token_mix``), equal to the per-sample layer up
+    to rounding; deeper layers run per sample.
 
-    With ``tokens=False`` only the consensus is wanted: the last layer
-    still attends over all c + 1 tokens but computes only the consensus
-    row (``first_only``), and class_states is None. Without ``rng`` the
-    consensus equals the full path's up to rounding, since the GEMMs run
-    over fewer rows; with ``rng`` the dropout draws differ as well.
+    Every layer before the last runs all c + 1 tokens, since each token is a
+    key and a value for the others. The last layer's tail (output
+    projection, residuals and MLP) runs over one 2-D stream of the n
+    consensus rows and the K known rows alone, in that order: no other
+    token's output is read. With K = 0, as evaluation runs it, the last
+    attention computes the consensus query alone (``first_only``).
     """
     cfg = params.config
     if fused.ndim != 2 or fused.shape[1] != cfg.d_e:
         raise DimensionMismatch(f"fused states have shape {fused.shape}; expected (n, {cfg.d_e})")
+    n, d = fused.shape
+    rows, labels = known
+    # the stream's positions in the (n, c + 1) token grid
+    stream = (np.concatenate([np.arange(n), rows]),
+              np.concatenate([np.zeros(n, np.intp), labels + 1]))
+    first_only = rows.size == 0
     last = cfg.layers_c - 1
-    x = _shared_token_layer(fused, params, "cls_enc.0", rng, first_only=not tokens and last == 0)
-    for layer in range(1, cfg.layers_c):
-        x = _encoder_layer(x, None, params, f"cls_enc.{layer}", rng,
-                           first_only=not tokens and layer == last)
-    return x[:, 0, :], (x[:, 1:, :] if tokens else None)
+    prefix = f"cls_enc.{last}"
+    if last == 0:
+        mixed = _shared_token_mix(fused, params, prefix, first_only)
+        residual = ad.concat([fused,
+                              ad.broadcast_to(params["cls"], (n, params.n_labels, d))[known]])
+    else:
+        x = _shared_token_layer(fused, params, "cls_enc.0", rng)
+        for layer in range(1, last):
+            x = _encoder_layer(x, None, params, f"cls_enc.{layer}", rng)
+        mixed = _mix(x, None, params, prefix, first_only)
+        residual = x[stream]
+    out = _encoder_tail(residual, mixed[stream], params, prefix, rng)
+    return out[:n], out[n:]
 
 
-def predict(consensus: Tensor, class_states: Tensor | None, params: ModelParams):
+def predict(consensus: Tensor, class_states: Tensor, params: ModelParams, known=NO_LABELS):
     """Logits of the c+1 heads.
 
     main_logits (n, c) come from the shared head on the consensus token;
-    their sigmoid is what inference and metrics use. token_logits (n, c)
-    stack the c per-class scalar heads, each reading only its own token;
-    they are None when class_states is None.
+    their sigmoid is what inference and metrics use. token_logits (K,) are
+    the per-class scalar heads on the K class states that ``known`` names
+    (``class_token_encoder_forward``): the state of label j is read by
+    label j's head alone.
     """
     main_logits = ad.linear(consensus, params["head_main.w"], params["head_main.b"])
-    if class_states is None:
-        return main_logits, None
-    token_logits = (class_states * params["head_tokens.w"]).sum(axis=2)
-    return main_logits, token_logits + params["head_tokens.b"]
+    n, d = consensus.shape
+    c = params.n_labels
+    w = ad.broadcast_to(params["head_tokens.w"], (n, c, d))[known]
+    b = ad.broadcast_to(params["head_tokens.b"], (n, c))[known]
+    return main_logits, (class_states * w).sum(axis=1) + b
 
 
 @dataclass
 class ForwardPass:
-    """All intermediate and final tensors of one forward evaluation."""
+    """All intermediate and final tensors of one forward evaluation. The K
+    known entries are those of the label mask ``forward`` was given."""
 
-    view_states: Tensor          # (n, m, d_e) encoder output per view
+    view_states: Tensor          # (n, m, d_e) encoder output per view; 0 at missing slots
     fused: Tensor                # (n, d_e) weighted fusion
     consensus: Tensor            # (n, d_e) first token of the class encoder
-    class_states: Tensor | None  # (n, c, d_e) specialized class tokens; None if tokens=False
+    class_states: Tensor         # (K, d_e) class tokens of the known entries
     main_logits: Tensor          # (n, c) main head logits, what the losses read
-    token_logits: Tensor | None  # (n, c) per-class-token head logits; None if tokens=False
+    token_logits: Tensor         # (K,) per-class-token head logits of the known entries
     p_main: Tensor               # (n, c) main predictions: sigmoid of main_logits, off the tape
+    known: tuple                 # (sample, label) index arrays of the K known entries
 
 
-def forward(views, view_mask, params: ModelParams, rng=None, tokens: bool = True) -> ForwardPass:
+def forward(views, view_mask, params: ModelParams, rng=None, label_mask=None) -> ForwardPass:
     """Run the whole model on a batch. Passing ``rng`` turns dropout on, as
-    training does; without it the pass is deterministic. ``tokens=False``
-    skips the class-token states and their heads, which only the training
-    loss reads (see ``class_token_encoder_forward``)."""
-    embedded = embed_views(views, params, rng)
+    training does; without it the pass is deterministic.
+
+    Only the training loss reads the class tokens, and only at the known
+    entries of the (n, c) ``label_mask``: those K tokens are computed and
+    scored (``class_token_encoder_forward``). Evaluation passes no mask, so
+    K = 0 and the class-token heads score nothing."""
+    embedded = embed_views(views, view_mask, params, rng)
     view_states = view_encoder_forward(embedded, view_mask, params, rng)
     fused = adaptive_fusion(view_states, view_mask, params["fusion.a"], params.config.gamma)
-    consensus, class_states = class_token_encoder_forward(fused, params, rng, tokens=tokens)
-    main_logits, token_logits = predict(consensus, class_states, params)
+    known = known_pairs(label_mask, (fused.shape[0], params.n_labels))
+    consensus, class_states = class_token_encoder_forward(fused, params, rng, known)
+    main_logits, token_logits = predict(consensus, class_states, params, known)
     return ForwardPass(view_states, fused, consensus, class_states, main_logits, token_logits,
-                       ad.sigmoid(main_logits.data))
+                       ad.sigmoid(main_logits.data), known)
 
 
 # ---------------------------------------------------------------------------

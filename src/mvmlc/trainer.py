@@ -11,10 +11,14 @@ norm and the bias gradients, which ``autodiff`` takes as BLAS
 matrix-vector products: within one thread count they are reproducible too.
 
 Label similarity constants are computed per batch, over the batch's rows
-only. Every step computes all three loss terms of ``objective`` on the tape,
-for the history; ``total_loss`` leaves a zero-weight term out of the sum, so
-its records get no gradient and backward skips them. A zero-alpha run thus
-updates parameters exactly like a run that never builds the graph term.
+only. A step computes only what a loss reads: ``forward`` gets the batch's
+view mask and label mask, so the view encoder runs over the present views
+and the class-token tail and heads over the known labels (see ``model``);
+evaluation passes no label mask. Every step computes all three loss terms
+of ``objective`` on the tape, for the history; ``total_loss`` leaves a
+zero-weight term out of the sum, so its records get no gradient and
+backward skips them. A zero-alpha run thus updates parameters exactly like
+a run that never builds the graph term.
 
 Heap: a step's activations are freed within the step, and the next step
 allocates them again. Those no backward reads go during the forward pass,
@@ -243,11 +247,17 @@ def objective(out: ForwardPass, labels, label_mask, view_mask, label_sim, pair_v
               alpha: float, beta: float):
     """The objective of one forward pass: (``total_loss``, l_mc, l_gc, l_ac).
 
-    The loss functions are looked up as module globals at each call, so a
-    run can swap them out.
+    ``out`` must come from ``forward`` with this ``label_mask``: l_ac is the
+    BCE of its K known token logits, the mean over those K entries, which
+    equals ``masked_bce`` of the (n, c) token logits under the mask. The
+    loss functions are looked up as module globals at each call, so a run
+    can swap them out.
     """
     l_mc = masked_bce(out.main_logits, labels, label_mask)
-    l_ac = masked_bce(out.token_logits, labels, label_mask)
+    if not all(np.array_equal(a, b) for a, b in zip(out.known, np.nonzero(label_mask))):
+        raise DimensionMismatch("the forward pass scored other label entries than label_mask's")
+    known_labels = np.asarray(labels)[out.known]
+    l_ac = masked_bce(out.token_logits, known_labels, np.ones_like(known_labels))
     l_gc = graph_constraint_loss(out.view_states, label_sim, pair_valid, view_mask)
     return total_loss(l_mc, l_gc, l_ac, alpha, beta), l_mc, l_gc, l_ac
 
@@ -300,14 +310,14 @@ def train(
         order = shuffle_rng.permutation(n)
         sums = dict.fromkeys(("loss", "l_mc", "l_gc", "l_ac"), 0.0)
         for step, idx in enumerate(np.array_split(order, n_batches)):
-            w_b = dataset.view_mask[idx]
+            w_b, g_b = dataset.view_mask[idx], dataset.label_mask[idx]
 
             params.zero_grads()
             with Tape() as tape:
                 # no name holds the forward pass, so backward frees its states
                 terms = objective(forward(_batch_views(dataset, idx), w_b, params,
-                                          rng=dropout_rng),
-                                  dataset.labels[idx], dataset.label_mask[idx], w_b,
+                                          rng=dropout_rng, label_mask=g_b),
+                                  dataset.labels[idx], g_b, w_b,
                                   *ctx.batch(idx), train_config.alpha, train_config.beta)
                 loss = terms[0]
                 tape.backward(loss)
@@ -346,8 +356,8 @@ def evaluate(params: ModelParams, dataset: MultiViewDataset) -> MetricsReport:
     View availability is respected; labels are taken as full ground truth,
     so pass an uncorrupted split. The rows run ``EVAL_BATCH_SIZE`` at a
     time; per-sample independence makes that size irrelevant to the result.
-    Only the main head is ranked, so the forward pass skips the class-token
-    states (``tokens=False``).
+    Only the main head is ranked, so the forward pass gets no label mask:
+    the last class layer computes the consensus query alone.
     """
     if params.n_labels != dataset.c:
         raise DimensionMismatch(
@@ -355,7 +365,7 @@ def evaluate(params: ModelParams, dataset: MultiViewDataset) -> MetricsReport:
     scores = np.empty((dataset.n, dataset.c))
     for start in range(0, dataset.n, EVAL_BATCH_SIZE):
         idx = np.arange(start, min(start + EVAL_BATCH_SIZE, dataset.n))
-        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params, tokens=False)
+        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params)
         scores[idx] = out.p_main.data
     if np.any(dataset.label_mask == 0):
         warnings.warn("evaluating against a dataset with masked labels; "

@@ -22,6 +22,7 @@ from mvmlc.errors import (
     DoubleBackward,
     NonBinary,
     NonScalarLoss,
+    RepeatedIndex,
 )
 
 
@@ -1026,6 +1027,9 @@ RECORDING_BUILDS = {
     "concat": lambda r: ad.concat([_leaf(r, 2, 3), _leaf(r, 1, 3)], axis=0),
     "stack": lambda r: ad.stack([_leaf(r, 2, 3), _leaf(r, 2, 3)], axis=1),
     "take": lambda r: _leaf(r, 3, 4)[1:, 2],
+    "take_rows": lambda r: _leaf(r, 3, 4, 2)[np.array([2, 0]), np.array([1, 3])],
+    "scatter_rows": lambda r: ad.scatter_rows(_leaf(r, 2, 3), (np.array([0, 2]), np.array([1, 1])),
+                                              (3, 2)),
     "tensor_sum": lambda r: ad.tensor_sum(_leaf(r, 3, 4), axis=1),
     "tensor_mean": lambda r: ad.tensor_mean(_leaf(r, 3, 4), axis=0),
     "exp": lambda r: ad.exp(_leaf(r, 3)),
@@ -1097,6 +1101,49 @@ class TestShapeOps:
             return (wide * wide).sum()
 
         check_gradients(build, [a])
+
+    def test_integer_row_gather_and_scatter_gradients(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((4, 3, 2))
+        rows, cols = np.array([3, 0, 1]), np.array([2, 2, 0])
+
+        def build(ts):
+            packed = ts[0][rows, cols]  # (3, 2)
+            grid = ad.scatter_rows(packed * packed, (rows, cols), (4, 3))
+            return (grid * ts[0]).sum() + ts[0][np.array([1, 3])].sum()
+
+        check_gradients(build, [a])
+
+    def test_scatter_rows_places_rows_in_exact_zeros(self):
+        x = ad.Tensor(np.arange(6.0).reshape(3, 2))
+        grid = ad.scatter_rows(x, (np.array([1, 0, 1]), np.array([0, 1, 2])), (2, 3)).data
+        np.testing.assert_array_equal(grid[[1, 0, 1], [0, 1, 2]], x.data)
+        assert np.count_nonzero(grid[[0, 0, 1], [0, 2, 1]]) == 0
+        np.testing.assert_array_equal(ad.scatter_rows(x, np.array([3, 0, 2]), (4,)).data[1], 0.0)
+
+    def test_repeated_gather_index_raises_instead_of_dropping_gradient(self):
+        # a[[0, 0, 2]] would assign row 0's two gradients to one slot and keep
+        # one of them: row 0 would get a gradient of 1 where it should get 2
+        a = ad.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        with ad.Tape():
+            for key in (np.array([0, 0, 2]), [1, 1], np.array([0, -4]),
+                        (np.array([0, 1, 0]), np.array([2, 2, 2]))):
+                with pytest.raises(RepeatedIndex):
+                    a[key]
+            a[np.array([0, 1, 0]), np.array([2, 2, 1])]  # distinct pairs
+        # without a recorded gradient the gather is just numpy's
+        np.testing.assert_array_equal(a[np.array([0, 0])].data, a.data[[0, 0]])
+
+    def test_scatter_rows_rejects_repeated_or_misshapen_index(self):
+        x = ad.Tensor(np.ones((3, 2)))
+        with pytest.raises(RepeatedIndex):
+            ad.scatter_rows(x, np.array([2, 0, 2]), (4,))
+        with pytest.raises(RepeatedIndex):
+            ad.scatter_rows(x, (np.array([0, 1, 0]), np.array([1, 1, 1])), (2, 2))
+        with pytest.raises(DimensionMismatch):
+            ad.scatter_rows(x, np.array([0, 1]), (4,))
+        with pytest.raises(DimensionMismatch):
+            ad.scatter_rows(x, np.array([0, 1, 2]), (4, 2))
 
     def test_mean_gradient(self):
         rng = np.random.default_rng(14)

@@ -323,6 +323,9 @@ VIEW_MASK_CALLERS = {
     "dataset": lambda w: data.MultiViewDataset(
         views=[np.zeros((4, 2))] * 3, labels=np.zeros((4, 2)), view_mask=w,
         label_mask=np.ones((4, 2))),
+    "embed": lambda w: model.embed_views(
+        [np.zeros((4, 2))] * 3, w, model.ModelParams.initialize(
+            model.ModelConfig(d_e=4, heads=2, dtype="float64"), [2, 2, 2], 2)),
     "view_encoder": lambda w: model.view_encoder_forward(
         Tensor(np.zeros((4, 3, 4))), w, model.ModelParams.initialize(
             model.ModelConfig(d_e=4, heads=2, dtype="float64"), [2, 2, 2], 2)),
@@ -352,3 +355,28 @@ class TestCheckViewMask:
             w = data.check_view_mask(mask, (2, 2))
             assert w.dtype == np.float64
             np.testing.assert_array_equal(w, np.eye(2))
+
+
+class TestCallerKeepsItsArrays:
+    def test_inputs_stay_writeable_and_apart_from_the_dataset(self):
+        rng = np.random.default_rng(0)
+        views = [rng.standard_normal((4, 3)), rng.standard_normal((4, 2))]
+        labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        view_mask, label_mask = np.ones((4, 2)), np.ones((4, 2))
+        ds = data.MultiViewDataset(views=views, labels=labels, view_mask=view_mask,
+                                   label_mask=label_mask)
+        inputs = [*views, labels, view_mask, label_mask]
+        own = [*ds.views, ds.labels, ds.view_mask, ds.label_mask]
+        kept = [arr.copy() for arr in own]
+        for arr in inputs:
+            assert arr.flags.writeable
+            arr[0, 0] = 0.5
+        for arr, was in zip(own, kept):
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, was)
+
+    def test_derived_datasets_share_unchanged_arrays(self):
+        ds = data.make_synthetic(10, 2, 3, 2, [3, 4], seed=0)
+        masked = data.apply_masks(ds, label_mask=data.simulate_missing_labels(ds.labels, 0.3, 0))
+        assert masked.view_mask is ds.view_mask
+        assert not any(x.flags.writeable for x in masked.views)

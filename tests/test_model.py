@@ -10,12 +10,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlc import autodiff as ad
 from mvmlc import model as M
 from mvmlc.autodiff import Tensor
-from mvmlc.errors import DimensionMismatch, EmptyRowMask
-from mvmlc.losses import label_similarity
+from mvmlc.errors import DimensionMismatch, EmptyRowMask, NonBinary
+from mvmlc.losses import graph_constraint_loss, label_similarity, masked_bce, total_loss
 from mvmlc.trainer import objective
 
 
@@ -49,6 +51,11 @@ def write_with_meta(checkpoint, path, edit):
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
+def all_labels(n, c):
+    """The (sample, label) pairs of every entry of an (n, c) label grid."""
+    return np.nonzero(np.ones((n, c)))
+
+
 def attend(x, mask, params, prefix):
     """A layer's attention over x as ``_encoder_layer`` runs it: (mixed, probs)."""
     return ad.attention(ad.linear(x, params[f"{prefix}.wqkv"]), params.config.heads, mask)
@@ -73,22 +80,23 @@ class TestEmbedViews:
     def test_output_shape(self):
         params = tiny_params()
         rng = np.random.default_rng(0)
-        views, _ = random_inputs(rng, 5, params.view_dims)
-        out = M.embed_views(views, params)
+        views, w = random_inputs(rng, 5, params.view_dims)
+        out = M.embed_views(views, w, params)
         assert out.shape == (5, 3, 8)
 
     def test_eval_mode_deterministic(self):
         params = tiny_params()
         rng = np.random.default_rng(1)
-        views, _ = random_inputs(rng, 4, params.view_dims)
-        a = M.embed_views(views, params).data
-        b = M.embed_views(views, params).data
+        views, w = random_inputs(rng, 4, params.view_dims)
+        a = M.embed_views(views, w, params).data
+        b = M.embed_views(views, w, params).data
         np.testing.assert_array_equal(a, b)
 
     def test_wrong_view_dim(self):
         params = tiny_params()
         with pytest.raises(DimensionMismatch):
-            M.embed_views([np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 9))], params)
+            M.embed_views([np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 9))], np.ones((2, 3)),
+                          params)
 
 
 class TestMaskedSelfAttention:
@@ -150,18 +158,18 @@ class TestViewEncoder:
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(3)
         views, w = random_inputs(rng, 6, params.view_dims, missing=0.3)
-        emb = M.embed_views(views, params)
+        emb = M.embed_views(views, w, params)
         out = M.view_encoder_forward(emb, w, params).data
         perm = rng.permutation(6)
-        emb_p = M.embed_views([v[perm] for v in views], params)
+        emb_p = M.embed_views([v[perm] for v in views], w[perm], params)
         out_p = M.view_encoder_forward(emb_p, w[perm], params).data
         np.testing.assert_array_equal(out_p, out[perm])
 
     def test_single_view_degenerate_sequence(self):
         params = tiny_params(view_dims=(5,), dropout=0.0)
         rng = np.random.default_rng(4)
-        emb = M.embed_views([rng.standard_normal((3, 5))], params)
         mask = np.ones((3, 1))
+        emb = M.embed_views([rng.standard_normal((3, 5))], mask, params)
         normed = ad.layer_norm(emb, params["view_enc.0.ln1_g"], params["view_enc.0.ln1_b"])
         _, probs = attend(normed, mask, params, "view_enc.0")
         np.testing.assert_allclose(probs.data, 1.0)  # 1x1 softmax
@@ -175,8 +183,8 @@ class TestViewEncoder:
             for v in range(3):
                 gone = w[:, v] == 0
                 noisy[v][gone] = rng.standard_normal((int(gone.sum()), views[v].shape[1])) * 50
-            base = M.view_encoder_forward(M.embed_views(views, params), w, params).data
-            pert = M.view_encoder_forward(M.embed_views(noisy, params), w, params).data
+            base = M.view_encoder_forward(M.embed_views(views, w, params), w, params).data
+            pert = M.view_encoder_forward(M.embed_views(noisy, w, params), w, params).data
             np.testing.assert_array_equal(base[w == 1], pert[w == 1])
 
 
@@ -257,21 +265,26 @@ class TestClassTokenEncoder:
     def test_output_shapes(self):
         params = tiny_params()
         fused = Tensor(np.random.default_rng(10).standard_normal((6, 8)))
+        consensus, states = M.class_token_encoder_forward(fused, params, known=all_labels(6, 4))
+        assert consensus.shape == (6, 8)
+        assert states.shape == (24, 8)
         consensus, states = M.class_token_encoder_forward(fused, params)
         assert consensus.shape == (6, 8)
-        assert states.shape == (6, 4, 8)
+        assert states.shape == (0, 8)
 
     def test_token_permutation_equivariance(self):
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(11)
         fused = Tensor(rng.standard_normal((3, 8)))
-        base_c, base_s = M.class_token_encoder_forward(fused, params)
+        known = all_labels(3, 4)
+        base_c, base_s = M.class_token_encoder_forward(fused, params, known=known)
         perm = np.array([2, 0, 3, 1])
         params["cls"].data[...] = params["cls"].data[perm]
-        perm_c, perm_s = M.class_token_encoder_forward(fused, params)
+        perm_c, perm_s = M.class_token_encoder_forward(fused, params, known=known)
         # equivariance is exact up to reduction-order rounding in the sums
         np.testing.assert_allclose(perm_c.data, base_c.data, atol=1e-12)
-        np.testing.assert_allclose(perm_s.data, base_s.data[:, perm, :], atol=1e-12)
+        np.testing.assert_allclose(perm_s.data.reshape(3, 4, 8),
+                                   base_s.data.reshape(3, 4, 8)[:, perm, :], atol=1e-12)
 
     @staticmethod
     def _generic_layers(fused, params, rng=None):
@@ -288,11 +301,22 @@ class TestClassTokenEncoder:
     def test_shared_first_layer_matches_per_sample_layer(self, layers_c):
         params = tiny_params(layers_c=layers_c)
         fused = Tensor(np.random.default_rng(13).standard_normal((5, 8)))
-        for dropout_rng in (lambda: None, lambda: np.random.default_rng(14)):
-            ref = self._generic_layers(fused, params, dropout_rng()).data
-            consensus, states = M.class_token_encoder_forward(fused, params, dropout_rng())
-            np.testing.assert_allclose(consensus.data, ref[:, 0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(states.data, ref[:, 1:], rtol=0, atol=1e-12)
+        ref = self._generic_layers(fused, params).data
+        consensus, states = M.class_token_encoder_forward(fused, params, known=all_labels(5, 4))
+        np.testing.assert_allclose(consensus.data, ref[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states.data, ref[:, 1:].reshape(20, 8), rtol=0, atol=1e-12)
+
+    def test_shared_layer_draws_dropout_as_the_per_sample_layer(self):
+        # a layer before the last runs all c + 1 tokens in the grid's order,
+        # so it draws the same dropout masks as the per-sample layer
+        params = tiny_params()
+        fused = Tensor(np.random.default_rng(13).standard_normal((5, 8)))
+        n, d = fused.shape
+        tokens = ad.concat([fused.reshape((n, 1, d)),
+                            ad.broadcast_to(params["cls"], (n, params.n_labels, d))], axis=1)
+        ref = M._encoder_layer(tokens, None, params, "cls_enc.0", np.random.default_rng(14))
+        got = M._shared_token_layer(fused, params, "cls_enc.0", np.random.default_rng(14))
+        np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("layers_c", [1, 2])
     def test_shared_first_layer_gradients_match(self, layers_c):
@@ -310,8 +334,9 @@ class TestClassTokenEncoder:
             return [params[name].grad for name in names] + [fused.grad]
 
         def shared():
-            consensus, states = M.class_token_encoder_forward(fused, params)
-            return ad.concat([consensus.reshape((5, 1, 8)), states], axis=1)
+            consensus, states = M.class_token_encoder_forward(fused, params,
+                                                              known=all_labels(5, 4))
+            return ad.concat([consensus.reshape((5, 1, 8)), states.reshape((5, 4, 8))], axis=1)
 
         for got, want in zip(grads(shared), grads(lambda: self._generic_layers(fused, params))):
             np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -320,9 +345,9 @@ class TestClassTokenEncoder:
     def test_consensus_only_matches_full_path(self, layers_c):
         params = tiny_params(layers_c=layers_c)
         fused = Tensor(np.random.default_rng(16).standard_normal((5, 8)))
-        full, _ = M.class_token_encoder_forward(fused, params)
-        consensus, states = M.class_token_encoder_forward(fused, params, tokens=False)
-        assert states is None
+        full, _ = M.class_token_encoder_forward(fused, params, known=all_labels(5, 4))
+        consensus, states = M.class_token_encoder_forward(fused, params)
+        assert states.shape == (0, 8)
         np.testing.assert_allclose(consensus.data, full.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("layers_c", [1, 2, 3])
@@ -338,7 +363,8 @@ class TestClassTokenEncoder:
             params.zero_grads()
             fused.grad = None
             with ad.Tape() as tape:
-                consensus, _ = M.class_token_encoder_forward(fused, params, tokens=tokens)
+                known = all_labels(5, 4) if tokens else M.NO_LABELS
+                consensus, _ = M.class_token_encoder_forward(fused, params, known=known)
                 tape.backward((consensus * weights).sum())
             named = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
             return {**named, "fused": fused.grad}
@@ -353,8 +379,8 @@ class TestClassTokenEncoder:
         params = tiny_params(dropout=0.0)
         rng = np.random.default_rng(12)
         fused = Tensor(rng.standard_normal((2, 8)))
-        _, states = M.class_token_encoder_forward(fused, params)
-        assert np.any(states.data[0] != states.data[1])
+        _, states = M.class_token_encoder_forward(fused, params, known=all_labels(2, 4))
+        assert np.any(states.data[:4] != states.data[4:])
 
 
 class TestPredict:
@@ -364,8 +390,10 @@ class TestPredict:
         params["head_tokens.w"].data[...] = 0
         rng = np.random.default_rng(13)
         p_main, p_tokens = (ad.sigmoid(z) for z in M.predict(
-            Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((3, 4, 8))), params
+            Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((12, 8))), params,
+            all_labels(3, 4)
         ))
+        assert p_tokens.shape == (12,)
         np.testing.assert_allclose(p_main.data, 0.5)
         np.testing.assert_allclose(p_tokens.data, 0.5)
 
@@ -373,7 +401,7 @@ class TestPredict:
         params = tiny_params(d_e=2, heads=1, view_dims=(2,), n_labels=1)
         params["head_main.w"].data[...] = np.array([[1.0], [1.0]])
         params["head_main.b"].data[...] = 0
-        main_logits, _ = M.predict(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 1, 2))), params)
+        main_logits, _ = M.predict(Tensor([[1.0, -1.0]]), Tensor(np.zeros((0, 2))), params)
         p_main = ad.sigmoid(main_logits)
         np.testing.assert_allclose(p_main.data, [[0.5]], atol=1e-12)
 
@@ -381,7 +409,7 @@ class TestPredict:
         params = tiny_params()
         rng = np.random.default_rng(14)
         views, w = random_inputs(rng, 5, params.view_dims, missing=0.3)
-        out = M.forward(views, w, params)
+        out = M.forward(views, w, params, label_mask=np.ones((5, 4)))
         for p in (out.p_main.data, ad.sigmoid(out.token_logits).data):
             assert np.all(p > 0) and np.all(p < 1)
 
@@ -391,13 +419,20 @@ class TestEndToEnd:
         params = tiny_params()
         rng = np.random.default_rng(15)
         views, w = random_inputs(rng, 7, params.view_dims, missing=0.2)
-        out = M.forward(views, w, params)
+        label_mask = np.zeros((7, 4))
+        label_mask[[0, 0, 3, 6], [1, 2, 0, 3]] = 1.0
+        out = M.forward(views, w, params, label_mask=label_mask)
         assert out.view_states.shape == (7, 3, 8)
         assert out.fused.shape == (7, 8)
         assert out.consensus.shape == (7, 8)
-        assert out.class_states.shape == (7, 4, 8)
+        assert out.class_states.shape == (4, 8)
         assert out.p_main.shape == (7, 4)
-        assert out.token_logits.shape == (7, 4)
+        assert out.token_logits.shape == (4,)
+        np.testing.assert_array_equal(out.known[0], [0, 0, 3, 6])
+        np.testing.assert_array_equal(out.known[1], [1, 2, 0, 3])
+        # evaluation's pass: no label mask, no class-token state
+        out = M.forward(views, w, params)
+        assert out.class_states.shape == (0, 8) and out.token_logits.shape == (0,)
 
     def test_dropout_is_seeded(self):
         params = tiny_params(dtype="float32")
@@ -414,8 +449,8 @@ class TestEndToEnd:
         views, w = random_inputs(np.random.default_rng(17), 5, params.view_dims, missing=0.3)
         rng = np.random.default_rng(7)
         before = rng.bit_generator.state
-        with_rng = M.forward(views, w, params, rng=rng)
-        without = M.forward(views, w, params)
+        with_rng = M.forward(views, w, params, rng=rng, label_mask=np.ones((5, 4)))
+        without = M.forward(views, w, params, label_mask=np.ones((5, 4)))
         assert rng.bit_generator.state == before
         for name in ("view_states", "fused", "consensus", "class_states", "main_logits",
                      "token_logits", "p_main"):
@@ -424,8 +459,9 @@ class TestEndToEnd:
 
     def test_no_generator_means_no_dropout(self):
         views, w = random_inputs(np.random.default_rng(18), 5, (3, 4, 2), missing=0.3)
-        a = M.forward(views, w, tiny_params(dtype="float32", dropout=0.1))
-        b = M.forward(views, w, tiny_params(dtype="float32", dropout=0.0))
+        every = np.ones((5, 4))
+        a = M.forward(views, w, tiny_params(dtype="float32", dropout=0.1), label_mask=every)
+        b = M.forward(views, w, tiny_params(dtype="float32", dropout=0.0), label_mask=every)
         np.testing.assert_array_equal(a.p_main.data, b.p_main.data)
         np.testing.assert_array_equal(a.token_logits.data, b.token_logits.data)
 
@@ -435,7 +471,7 @@ class TestEndToEnd:
         forward pass and every parameter gradient."""
         params.zero_grads()
         with ad.Tape() as tape:
-            out = M.forward(views, w, params)
+            out = M.forward(views, w, params, label_mask=label_mask)
             loss = objective(out, labels, label_mask, w, *label_similarity(labels, label_mask),
                              alpha=10.0, beta=0.1)[0]
             tape.backward(loss)
@@ -450,19 +486,20 @@ class TestEndToEnd:
             for v in range(3):
                 gone = w[:, v] == 0
                 noisy[v][gone] = rng.standard_normal((int(gone.sum()), views[v].shape[1])) * 1e3
-            base = M.forward(views, w, params)
-            pert = M.forward(noisy, w, params)
+            every = np.ones((5, params.n_labels))
+            base = M.forward(views, w, params, label_mask=every)
+            pert = M.forward(noisy, w, params, label_mask=every)
             np.testing.assert_array_equal(base.fused.data, pert.fused.data)
             np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
             np.testing.assert_array_equal(base.token_logits.data, pert.token_logits.data)
             # the consensus-only path that evaluation runs keeps the guarantee too
-            base = M.forward(views, w, params, tokens=False)
-            pert = M.forward(noisy, w, params, tokens=False)
-            assert base.token_logits is None and pert.token_logits is None
+            base = M.forward(views, w, params)
+            pert = M.forward(noisy, w, params)
+            assert base.token_logits.shape == pert.token_logits.shape == (0,)
             np.testing.assert_array_equal(base.p_main.data, pert.p_main.data)
             # so does training: the loss and every gradient, and a missing
-            # view's own encoder row, which attends to its sample's available
-            # views, gets exactly zero gradient
+            # view's slot of the view states, exact zeros, gets exactly zero
+            # gradient
             labels = (rng.random((5, params.n_labels)) < 0.4).astype(float)
             label_mask = (rng.random((5, params.n_labels)) < 0.7).astype(float)
             labels *= label_mask
@@ -475,6 +512,56 @@ class TestEndToEnd:
             for o in (out, out_n):
                 np.testing.assert_array_equal(o.view_states.grad[w == 0], 0.0)
                 assert np.any(o.view_states.grad[w == 1] != 0)
+
+    def test_label_mask_is_checked(self):
+        params = tiny_params()
+        views, w = random_inputs(np.random.default_rng(24), 4, params.view_dims)
+        with pytest.raises(DimensionMismatch, match=r"\(4, 3\), not \(4, 4\)"):
+            M.forward(views, w, params, label_mask=np.ones((4, 3)))
+        with pytest.raises(NonBinary):
+            M.forward(views, w, params, label_mask=np.full((4, 4), 0.5))
+        # objective scores the known entries forward ran with, no others
+        labels = np.zeros((4, 4))
+        out = M.forward(views, w, params)
+        with pytest.raises(DimensionMismatch, match="other label entries"):
+            objective(out, labels, np.ones((4, 4)), w, *label_similarity(labels, np.ones((4, 4))),
+                      alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_nan_in_missing_view_slots_reaches_nothing(self, dtype):
+        # straight to forward and objective, past the dataset's zero-fill rule:
+        # a missing slot's features are never read
+        rng = np.random.default_rng(23)
+        params = tiny_params(layers_v=2, layers_c=2, seed=7, dtype=dtype)
+        views, w = random_inputs(rng, 6, params.view_dims, missing=0.5)
+        assert (w == 0).any()
+        nan_views = [x.copy() for x in views]
+        for v, x in enumerate(nan_views):
+            x[w[:, v] == 0] = np.nan
+        labels = (rng.random((6, 4)) < 0.5).astype(float)
+        label_mask = (rng.random((6, 4)) < 0.7).astype(float)
+        label_mask[:2, 0] = 1.0
+        labels *= label_mask
+
+        def run(views):
+            params.zero_grads()
+            with ad.Tape() as tape:
+                out = M.forward(views, w, params, rng=np.random.default_rng(3),
+                                label_mask=label_mask)
+                terms = objective(out, labels, label_mask, w,
+                                  *label_similarity(labels, label_mask), alpha=10.0, beta=0.1)
+                tape.backward(terms[0])
+            return ([t.data for t in terms], out.p_main.data,
+                    {name: p.grad.copy() for name, p in params.items()})
+
+        terms, p_main, grads = run(views)
+        nan_terms, nan_p_main, nan_grads = run(nan_views)
+        for got, want in zip([*nan_terms, nan_p_main], [*terms, p_main]):
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, want)
+        for name, grad in grads.items():
+            assert np.isfinite(nan_grads[name]).all(), name
+            np.testing.assert_array_equal(nan_grads[name], grad, err_msg=name)
 
     def test_training_p_main_is_off_the_tape(self):
         params = tiny_params(dtype="float32")
@@ -494,7 +581,7 @@ class TestEndToEnd:
         rng = np.random.default_rng(18)
         views, w = random_inputs(rng, 4, params.view_dims, missing=0.3)
         with ad.Tape() as tape:
-            out = M.forward(views, w, params)
+            out = M.forward(views, w, params, label_mask=np.ones((4, 4)))
             # p_main is off the tape, so the main head is reached through its logits
             p_main, p_tokens = ad.sigmoid(out.main_logits), ad.sigmoid(out.token_logits)
             loss = (p_main * p_main).sum() + (p_tokens * p_tokens).sum()
@@ -502,6 +589,72 @@ class TestEndToEnd:
         for group, names in params.groups().items():
             got = any(params[n].grad is not None and np.any(params[n].grad != 0) for n in names)
             assert got, f"no gradient reached group {group}"
+
+
+def grid_objective(views, w, labels, label_mask, params, alpha, beta):
+    """``objective``'s four terms as the model computed them before packing:
+    zero-filled views embedded row by row, every view row through
+    ``_encoder_layer`` with the view mask as key mask, every class token
+    through every layer, and both BCE terms by ``masked_bce`` on (n, c)."""
+    cfg = params.config
+    filled = [np.where(w[:, v : v + 1] == 1, x, 0.0) for v, x in enumerate(views)]
+    x = ad.stack([M._mlp_block(Tensor(f), params, f"embed.{v}.", None)
+                  for v, f in enumerate(filled)], axis=1)
+    for layer in range(cfg.layers_v):
+        x = M._encoder_layer(x, w, params, f"view_enc.{layer}", None)
+    fused = M.adaptive_fusion(x, w, params["fusion.a"], cfg.gamma)
+    n, d = fused.shape
+    tokens = ad.concat([fused.reshape((n, 1, d)),
+                        ad.broadcast_to(params["cls"], (n, params.n_labels, d))], axis=1)
+    for layer in range(cfg.layers_c):
+        tokens = M._encoder_layer(tokens, None, params, f"cls_enc.{layer}", None)
+    main_logits = ad.linear(tokens[:, 0], params["head_main.w"], params["head_main.b"])
+    token_logits = ((tokens[:, 1:] * params["head_tokens.w"]).sum(axis=2)
+                    + params["head_tokens.b"])
+    l_mc = masked_bce(main_logits, labels, label_mask)
+    l_ac = masked_bce(token_logits, labels, label_mask)
+    l_gc = graph_constraint_loss(x, *label_similarity(labels, label_mask), w)
+    return total_loss(l_mc, l_gc, l_ac, alpha, beta), l_mc, l_gc, l_ac
+
+
+class TestPackedPath:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 4), st.sampled_from([1, 2]),
+           st.sampled_from([1, 2]), st.integers(0, 2**16))
+    def test_equals_the_grid_path(self, n, m, c, layers_v, layers_c, seed):
+        """Present views and known labels alone, against every row and
+        token: the same four terms and parameter gradients, float64."""
+        rng = np.random.default_rng(seed)
+        params = tiny_params(layers_v=layers_v, layers_c=layers_c, view_dims=(3, 4, 2)[:m],
+                             n_labels=c, dropout=0.0, seed=seed)
+        for name, t in params.items():  # a generic point, not the near-zero init
+            t.data[...] = (1.0 if name.endswith(("ln1_g", "ln2_g")) else 0.0) \
+                + 0.3 * rng.standard_normal(t.data.shape)
+        views, w = random_inputs(rng, n, params.view_dims, missing=0.4)
+        label_mask = (rng.random((n, c)) < 0.6).astype(float)
+        w[:2, 0] = label_mask[:2, 0] = 1.0  # a valid pair for the graph term
+        labels = (rng.random((n, c)) < 0.5) * label_mask
+
+        def terms_and_grads(run):
+            params.zero_grads()
+            with ad.Tape() as tape:
+                terms = run()
+                tape.backward(terms[0])
+            return ([t.item() for t in terms],
+                    {name: p.grad.copy() for name, p in params.items() if p.grad is not None})
+
+        packed, packed_grads = terms_and_grads(lambda: objective(
+            M.forward(views, w, params, label_mask=label_mask), labels, label_mask, w,
+            *label_similarity(labels, label_mask), 10.0, 0.1))
+        grid, grid_grads = terms_and_grads(
+            lambda: grid_objective(views, w, labels, label_mask, params, 10.0, 0.1))
+        np.testing.assert_allclose(packed, grid, rtol=1e-10)
+        assert packed_grads.keys() == grid_grads.keys()
+        for name, grad in grid_grads.items():
+            # the floor is for gradients that are 0 up to rounding, such as
+            # the fusion weight of a single view
+            np.testing.assert_allclose(packed_grads[name], grad, rtol=1e-10, atol=1e-12,
+                                       err_msg=name)
 
 
 class TestCheckpoint:

@@ -140,7 +140,8 @@ class TestPrecision:
         params = ModelParams.initialize(mc, ds.view_dims, ds.c, seed=0)
         t, u = losses.label_similarity(ds.labels, ds.label_mask)
         with DtypeTape() as tape:
-            out = M.forward(ds.views, ds.view_mask, params, rng=np.random.default_rng(0))
+            out = M.forward(ds.views, ds.view_mask, params, rng=np.random.default_rng(0),
+                            label_mask=ds.label_mask)
             loss, *_ = trainer_mod.objective(out, ds.labels, ds.label_mask, ds.view_mask,
                                              t, u, tc.alpha, tc.beta)
             tape.backward(loss)
@@ -166,7 +167,8 @@ def traced_step(ds, mc):
     try:
         base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
-            loss = trainer_mod.objective(M.forward(ds.views, ds.view_mask, params, rng=rng),
+            loss = trainer_mod.objective(M.forward(ds.views, ds.view_mask, params, rng=rng,
+                                                   label_mask=ds.label_mask),
                                          ds.labels, ds.label_mask, ds.view_mask, t, u,
                                          10.0, 0.1)[0]
             retained = tracemalloc.get_traced_memory()[0] - base
@@ -239,17 +241,23 @@ class TestRecordsPerStep:
         """Constant factors are folded before they meet an activation:
         fusion scales the states once, the graph term's pair weights carry
         its 1/N and -1/(2m), and a similarity divides by the norm. The
-        prediction sigmoid runs off the tape."""
+        prediction sigmoid runs off the tape. Packing costs a few gathers
+        and scatters: each view's embeddings scatter into their column, the
+        view layer gathers its present rows and scatters its Q/K/V and
+        output to the grid, and the class tokens, the token-head weights
+        and the last layer's stream are gathered at the known labels."""
         _, tape = self.one_step_tape(monkeypatch)
-        assert len(tape.ops) == 84
+        assert len(tape.ops) == 96
         assert tape.ops.count("mul") == 9
+        assert tape.ops.count("scatter_rows") == 3 + 2
+        assert tape.ops.count("take") == 2 + 4 + 2
 
     def test_no_per_step_weight_packing(self, monkeypatch):
         """A training step concatenates and reshapes only activations: the
         packed ``wqkv`` weights are parameters, not rebuilt each step."""
         params, tape = self.one_step_tape(monkeypatch)
         assert tape.ops.count("concat") == 2
-        assert tape.ops.count("reshape") == 2
+        assert tape.ops.count("reshape") == 1
         leaves = [p for _, p in params.items()]
         for inputs in tape.concat_inputs:
             assert not all(any(x is p for p in leaves) for x in inputs)
@@ -475,11 +483,13 @@ class TestTrain:
         monkeypatch.setattr(trainer_mod, "masked_bce", recording)
         mc, tc = small_configs(epochs=2, batch_size=16)
         train(mc, tc, ds)
-        assert all(m.any(axis=1).all() for m in masks)
-        # objective calls it twice per step: main head, then class tokens
-        sizes = [len(m) for m in masks[::2]]
-        assert sizes == [len(m) for m in masks[1::2]]
-        assert sizes == [14, 13, 13] * 2  # each epoch covers the 40 labelled rows once
+        # objective calls it twice per step: main head on the (n, c) grid,
+        # then the class tokens of the grid's known entries
+        grids, tokens = masks[::2], masks[1::2]
+        assert all(m.any(axis=1).all() for m in grids)
+        assert [m.size for m in tokens] == [np.count_nonzero(m) for m in grids]
+        assert all((m == 1).all() for m in tokens)
+        assert [len(m) for m in grids] == [14, 13, 13] * 2  # each epoch covers the 40 rows
 
     def test_non_finite_loss_aborts(self):
         ds = small_dataset(n=32)
@@ -582,15 +592,16 @@ class TestEvaluate:
             params = ModelParams.initialize(
                 ModelConfig(d_e=16, heads=2, layers_c=layers_c, dtype="float64"),
                 masked.view_dims, masked.c, seed=2)
-            full = M.forward(masked.views, masked.view_mask, params)
-            assert full.token_logits is not None
+            full = M.forward(masked.views, masked.view_mask, params,
+                             label_mask=np.ones_like(masked.labels))
+            assert full.token_logits.shape == (masked.n * masked.c,)
             want = trainer_mod.compute_report(full.p_main.data, masked.labels).to_dict()
             got = evaluate(params, masked).to_dict()
             for key in ("ap", "one_minus_rl", "auc"):
                 assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
             assert (got["n_eval"], got["skipped"]) == (want["n_eval"], want["skipped"])
-        # evaluation ran the consensus-only path, not the full one
-        assert seen and all(out.class_states is None for out in seen)
+        # evaluation ran the consensus-only path, with no class-token state
+        assert seen and all(out.class_states.shape == (0, 16) for out in seen)
 
     @pytest.mark.parametrize("model_labels", [1, 6])
     def test_label_count_mismatch_raises(self, model_labels):
@@ -633,7 +644,7 @@ class TestObjectiveProperties:
                 tape = Tape() if grad else None
                 if tape is not None:
                     tape.__enter__()
-                out = M.forward(ds.views, ds.view_mask, params)
+                out = M.forward(ds.views, ds.view_mask, params, label_mask=ds.label_mask)
                 loss, *_ = trainer_mod.objective(out, ds.labels, ds.label_mask, ds.view_mask,
                                                  t, u, alpha, beta)
                 if tape is not None:
@@ -668,7 +679,8 @@ class TestObjectiveProperties:
             idx = np.arange(rows)
             params.zero_grads()
             with Tape() as tape:
-                out = M.forward([x[idx] for x in ds.views], ds.view_mask[idx], params)
+                out = M.forward([x[idx] for x in ds.views], ds.view_mask[idx], params,
+                                label_mask=ds.label_mask[idx])
                 terms = trainer_mod.objective(
                     out, ds.labels[idx], ds.label_mask[idx], ds.view_mask[idx],
                     *losses.label_similarity(ds.labels[idx], ds.label_mask[idx]), 10.0, 0.1)
