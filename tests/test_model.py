@@ -92,6 +92,21 @@ class TestEmbedViews:
         b = M.embed_views(views, w, params).data
         np.testing.assert_array_equal(a, b)
 
+    def test_view_absent_from_every_row(self):
+        # a batch may lack a view entirely: its MLP runs over zero rows, its
+        # column is exact zeros, and its weights get a zero gradient
+        params = tiny_params(dropout=0.1)
+        views, w = random_inputs(np.random.default_rng(2), 5, params.view_dims)
+        w[:, 1] = 0.0
+        views[1] = np.zeros_like(views[1])
+        with ad.Tape() as tape:
+            out = M.embed_views(views, w, params, np.random.default_rng(0))
+            tape.backward((out * out).sum())
+        np.testing.assert_array_equal(out.data[:, 1], 0.0)
+        assert np.any(out.data[:, 0] != 0.0)
+        np.testing.assert_array_equal(params["embed.1.w1"].grad, 0.0)
+        assert np.any(params["embed.0.w1"].grad != 0.0)
+
     def test_wrong_view_dim(self):
         params = tiny_params()
         with pytest.raises(DimensionMismatch):
