@@ -7,8 +7,9 @@ and labels of an unknown entry are exactly 0, so the masks are the single
 source of truth about what is observed.
 
 The view mask's rule lives in one place, ``check_view_mask``: the mask is
-(n, m), holds only 0 and 1, and keeps a view in every row. The dataset, the
-view encoder, the fusion and the graph constraint all call it.
+(n, m), holds only 0 and 1, and keeps a view in every row. The label mask's
+rule, in ``check_label_mask``, is the labels' (n, c) shape and only 0 and 1.
+The dataset and every model and loss function that reads a mask call them.
 
 File format: a JSON manifest with keys ``views`` (ordered list of CSV paths),
 ``labels`` and optional ``view_mask`` / ``label_mask``. Matrix files are
@@ -82,6 +83,16 @@ def check_view_mask(view_mask, shape) -> np.ndarray:
     return w
 
 
+def check_label_mask(label_mask, shape) -> np.ndarray:
+    """The label mask as float64, once it has the given (n, c) ``shape``
+    (else DimensionMismatch) and only 0/1 entries (else NonBinary)."""
+    g = np.asarray(label_mask, dtype=np.float64)
+    if g.shape != tuple(shape):
+        raise DimensionMismatch(f"label_mask is {g.shape}, not {tuple(shape)}")
+    _check_binary(g, "label_mask")
+    return g
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     """Immutable container for multi-view features, labels, and masks."""
@@ -94,32 +105,24 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.views:
             raise DimensionMismatch("a dataset needs at least one view")
-        views = [_freeze(v) for v in self.views]
-        labels = _freeze(self.labels)
-        view_mask = _freeze(self.view_mask)
-        label_mask = _freeze(self.label_mask)
-        object.__setattr__(self, "views", views)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "view_mask", view_mask)
-        object.__setattr__(self, "label_mask", label_mask)
+        object.__setattr__(self, "views", [_freeze(v) for v in self.views])
+        for name in ("labels", "view_mask", "label_mask"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        views, labels, view_mask, label_mask = (
+            self.views, self.labels, self.view_mask, self.label_mask)
 
         n = views[0].shape[0]
         for v, x in enumerate(views):
             if x.ndim != 2 or x.shape[0] != n:
                 raise DimensionMismatch(f"view {v} has shape {x.shape}; expected {n} rows")
         check_view_mask(view_mask, (n, len(views)))
-        for name, arr in (("labels", labels), ("label_mask", label_mask)):
-            if arr.ndim != 2 or arr.shape[0] != n:
-                raise DimensionMismatch(f"{name} has shape {arr.shape}; expected {n} rows")
-        if label_mask.shape != labels.shape:
-            raise DimensionMismatch(
-                f"label_mask shape {label_mask.shape} != labels shape {labels.shape}"
-            )
+        if labels.ndim != 2 or labels.shape[0] != n:
+            raise DimensionMismatch(f"labels has shape {labels.shape}; expected {n} rows")
+        check_label_mask(label_mask, labels.shape)
         for v, x in enumerate(views):
             if not np.isfinite(x).all():
                 raise NonFiniteFeatures(f"view {v} has non-finite features (NaN or inf)")
         _check_binary(labels, "labels")
-        _check_binary(label_mask, "label_mask")
         for v, x in enumerate(views):
             if np.any(x[view_mask[:, v] == 0] != 0.0):
                 raise ValueError(f"view {v} has nonzero features on masked rows")

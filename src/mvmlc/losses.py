@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_view_mask
+from .data import check_label_mask, check_view_mask
 from .errors import DegenerateMask, DimensionMismatch
 
 # Similarities are clamped here before any log; the floor sits comfortably
@@ -36,12 +36,13 @@ def label_similarity(labels: np.ndarray, label_mask: np.ndarray):
     T[i, j] is the number of shared known positive tags divided by the number
     of categories known in both rows. Pairs with no commonly-known category
     get U[i, j] = 0 and T[i, j] = 0 by convention (0/0 carries no signal).
-    Both outputs are constants: plain float arrays, never Tensors.
+    Both outputs are constants: plain float arrays, never Tensors. The mask
+    must pass ``check_label_mask`` against the 2-D labels' shape.
     """
     y = np.asarray(labels, dtype=np.float64)
-    g = np.asarray(label_mask, dtype=np.float64)
-    if y.ndim != 2 or g.shape != y.shape:
-        raise DimensionMismatch(f"label_mask is {g.shape}, not the 2-D labels' {y.shape}")
+    if y.ndim != 2:
+        raise DimensionMismatch(f"labels are {y.shape}, not 2-D")
+    g = check_label_mask(label_mask, y.shape)
     known_pos = y * g
     shared_pos = known_pos @ known_pos.T
     shared_known = g @ g.T
@@ -110,12 +111,11 @@ def masked_bce(logits: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Te
 
     Computed in logit space (``ad.bce_with_logits``), so a prediction
     saturated on the wrong side still gets a gradient of full size.
-    ``labels`` and ``label_mask`` must have the logits' shape.
+    ``labels`` and ``label_mask`` (``check_label_mask``) have the logits' shape.
     """
-    if np.shape(labels) != logits.shape or np.shape(label_mask) != logits.shape:
-        raise DimensionMismatch(f"labels {np.shape(labels)} and label_mask {np.shape(label_mask)} "
-                                f"must have the logits' shape {logits.shape}")
-    g = np.asarray(label_mask, dtype=logits.data.dtype)
+    if np.shape(labels) != logits.shape:
+        raise DimensionMismatch(f"labels are {np.shape(labels)}, not the logits' {logits.shape}")
+    g = check_label_mask(label_mask, logits.shape).astype(logits.data.dtype)
     known = g.sum()
     if known == 0:
         raise DegenerateMask("masked BCE needs at least one known label")
@@ -125,17 +125,17 @@ def masked_bce(logits: Tensor, labels: np.ndarray, label_mask: np.ndarray) -> Te
 def total_loss(l_mc: Tensor, l_gc: Tensor, l_ac: Tensor, alpha: float, beta: float) -> Tensor:
     """Weighted objective: main BCE + alpha * graph constraint + beta * token BCE.
 
-    A term whose coefficient is zero is left out of the sum, so it gets no
-    gradient and even a non-finite value of it cannot reach the loss.
+    The terms whose coefficient is positive are stacked, scaled by their
+    coefficients and summed: three records, and bit for bit the value and
+    gradients of ``l_mc + alpha * l_gc + beta * l_ac``. A term whose
+    coefficient is zero is left out, so it gets no gradient and even a
+    non-finite value of it cannot reach the loss.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("penalty coefficients must be non-negative")
-    loss = l_mc
-    if alpha > 0:
-        loss = loss + alpha * l_gc
-    if beta > 0:
-        loss = loss + beta * l_ac
-    return loss
+    terms, weights = zip(*((t, w) for t, w in ((l_mc, 1.0), (l_gc, alpha), (l_ac, beta))
+                           if w > 0))
+    return (ad.stack(terms) * np.array(weights)).sum()
 
 
 @dataclass

@@ -18,13 +18,13 @@ applies the sigmoid only at the edge, to the main head's values, to give
 tape: no loss reads it, so it carries no gradient and a training step
 records no sigmoid.
 
-Only observed entries are computed. The view side runs each view's
-embedding MLP, and every view layer's row-wise work, over one packed
-stream of the P present (sample, view) rows; attention alone sees the
-(n, m) grid. The class side runs all c + 1 tokens up to the last layer,
-whose tail and the token heads run over the n consensus rows and the K
-(sample, label) entries of the batch's label mask, the only tokens a loss
-reads. Evaluation passes no label mask, so K = 0 and the last class layer
+Only observed entries are computed. From the embeddings on, the view side
+is one packed stream of the P present (sample, view) rows; attention alone
+sees the (n, m) grid, and a missing view has a slot only in the view
+states. The class side runs all c + 1 tokens up to the last layer, whose
+tail and the token heads run over the n consensus rows and the K (sample,
+label) entries of the batch's label mask, the only tokens a loss reads.
+Evaluation passes no label mask, so K = 0 and the last class layer
 computes the consensus query alone.
 
 Masking guarantee: the features, embeddings, and encoder states of a view
@@ -33,8 +33,8 @@ vector, or any prediction. The (n, m) view mask, checked by
 ``data.check_view_mask``, is each view layer's key mask: missing views get
 attention weights that underflow to exactly 0, so the guarantee is
 bit-exact. A missing view's own row is never computed: its features are
-never read, its slot of the embeddings and of the view states holds exact
-zeros, and NaN features there reach no output and no gradient.
+never read, it has no row in the stream, its slot of the view states holds
+exact zeros, and NaN features there reach no output and no gradient.
 
 Encoder blocks use pre-layer-norm residual wiring. Each layer packs its
 query, key and value weights side by side in one (d_e, 3 d_e) parameter,
@@ -53,8 +53,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_view_mask
-from .errors import DimensionMismatch, NonBinary
+from .data import check_label_mask, check_view_mask
+from .errors import DimensionMismatch
 
 CHECKPOINT_FORMAT = "mvmlc-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -220,12 +220,11 @@ def _mlp_block(x: Tensor, params: ModelParams, prefix: str, rng) -> Tensor:
 
 
 def embed_views(views, view_mask, params: ModelParams, rng=None) -> Tensor:
-    """Map per-view data arrays (n x d_v each) into a shared (n, m, d_e) grid.
-
-    Each view's MLP runs over that view's present rows only, by the (n, m)
-    ``view_mask`` (``check_view_mask``), and its output is scattered into
-    the view's column: a missing slot's features are never read, and the
-    slot holds exact zeros."""
+    """Map per-view data arrays (n x d_v each) into the packed (P, d_e)
+    stream of the P present (sample, view) rows of the (n, m) ``view_mask``
+    (``check_view_mask``): row r is view v's MLP of sample i, where (i, v)
+    is the r-th pair of ``np.nonzero(view_mask)``. Each MLP runs over its
+    view's present rows only, and one gather orders the joined outputs."""
     if len(views) != len(params.view_dims):
         raise DimensionMismatch(f"got {len(views)} views for a {len(params.view_dims)}-view model")
     n = np.shape(views[0])[0] if np.ndim(views[0]) else 0
@@ -234,14 +233,14 @@ def embed_views(views, view_mask, params: ModelParams, rng=None) -> Tensor:
             raise DimensionMismatch(
                 f"view {v} has shape {np.shape(x)}; expected ({n}, {params.view_dims[v]})"
             )
-    mask = check_view_mask(view_mask, (n, len(views)))
+    present = check_view_mask(view_mask, (n, len(views))) == 1
     dt = params.config.np_dtype
-    columns = []
-    for v, x in enumerate(views):
-        rows = np.flatnonzero(mask[:, v])
-        h = _mlp_block(Tensor(np.asarray(x)[rows], dtype=dt), params, f"embed.{v}.", rng)
-        columns.append(ad.scatter_rows(h, rows, (n,)))
-    return ad.stack(columns, axis=1)
+    outputs = [_mlp_block(Tensor(np.asarray(x)[present[:, v]], dtype=dt), params,
+                          f"embed.{v}.", rng) for v, x in enumerate(views)]
+    # each present slot's position in the view-major join, read row-major
+    slot = np.zeros(present.shape, np.intp)
+    slot.T[present.T] = np.arange(np.count_nonzero(present))
+    return ad.concat(outputs)[slot[present]]
 
 
 def _qkv(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
@@ -304,26 +303,28 @@ def _shared_token_layer(fused: Tensor, params: ModelParams, prefix: str, rng) ->
     return _encoder_tail(tokens, mixed, params, prefix, rng)
 
 
-def view_encoder_forward(embedded: Tensor, view_mask, params: ModelParams, rng=None) -> Tensor:
-    """Run all masked encoder layers over the (n, m, d_e) view embeddings;
-    returns the (n, m, d_e) view states, exact zeros at missing slots.
+def view_encoder_forward(stream: Tensor, view_mask, params: ModelParams, rng=None) -> Tensor:
+    """Run all masked encoder layers over the (P, d_e) view stream of
+    ``embed_views``; returns the (n, m, d_e) view states, exact zeros at
+    missing slots. ``view_mask`` (``check_view_mask``) is the (n, m)
+    availability, and a stream without one row per present entry raises
+    DimensionMismatch.
 
-    ``view_mask`` is their (n, m) availability (``check_view_mask``). The P
-    present (sample, view) rows form one packed (P, d_e) stream, and each
-    layer's LayerNorms, projections, residuals and MLP run over it alone.
-    Attention scatters the stream's Q/K/V into the (n, m) grid, where the
-    view mask is the key mask, so no view attends to a missing one, and
-    gathers the present rows of its output back. A missing slot is never
-    read, so its embedding, even NaN, cannot reach any output."""
-    mask = check_view_mask(view_mask, embedded.shape[:2])
+    Each layer's LayerNorms, projections, residuals and MLP run over the
+    stream alone. Attention scatters the stream's Q/K/V into the (n, m)
+    grid, where the view mask is the key mask, so no view attends to a
+    missing one, and gathers the present rows of its output back."""
+    mask = check_view_mask(view_mask, np.shape(view_mask)[:1] + (len(params.view_dims),))
     present = np.nonzero(mask)
-    x = embedded[present]
+    if stream.shape != (present[0].size, params.config.d_e):
+        raise DimensionMismatch(f"the view stream is {stream.shape}; the view mask has "
+                                f"{present[0].size} present rows of width {params.config.d_e}")
     for layer in range(params.config.layers_v):
         prefix = f"view_enc.{layer}"
-        grid = ad.scatter_rows(_qkv(x, params, prefix), present, mask.shape)
+        grid = ad.scatter_rows(_qkv(stream, params, prefix), present, mask.shape)
         mixed, _ = ad.attention(grid, params.config.heads, mask)
-        x = _encoder_tail(x, mixed[present], params, prefix, rng)
-    return ad.scatter_rows(x, present, mask.shape)
+        stream = _encoder_tail(stream, mixed[present], params, prefix, rng)
+    return ad.scatter_rows(stream, present, mask.shape)
 
 
 def adaptive_fusion(states: Tensor, view_mask, weights: Tensor, gamma: float) -> Tensor:
@@ -355,16 +356,9 @@ NO_LABELS = (np.zeros(0, np.intp), np.zeros(0, np.intp))
 
 def known_pairs(label_mask, shape) -> tuple[np.ndarray, np.ndarray]:
     """The (sample, label) index arrays of the known entries of an (n, c)
-    0/1 ``label_mask``, in row-major order; ``NO_LABELS`` for no mask. A
-    mask of another shape raises DimensionMismatch, other values NonBinary."""
-    if label_mask is None:
-        return NO_LABELS
-    g = np.asarray(label_mask)
-    if g.shape != tuple(shape):
-        raise DimensionMismatch(f"label_mask is {g.shape}, not {tuple(shape)}")
-    if not np.all((g == 0) | (g == 1)):
-        raise NonBinary("label_mask entries must be exactly 0 or 1")
-    return np.nonzero(g)
+    ``label_mask`` (``check_label_mask``), in row-major order; ``NO_LABELS``
+    for no mask."""
+    return NO_LABELS if label_mask is None else np.nonzero(check_label_mask(label_mask, shape))
 
 
 def class_token_encoder_forward(fused: Tensor, params: ModelParams, rng=None,
@@ -446,14 +440,16 @@ class ForwardPass:
 
 def forward(views, view_mask, params: ModelParams, rng=None, label_mask=None) -> ForwardPass:
     """Run the whole model on a batch. Passing ``rng`` turns dropout on, as
-    training does; without it the pass is deterministic.
+    training does; without it the pass is deterministic. The view side runs
+    as a stream of the present (sample, view) rows (``embed_views``) up to
+    the (n, m, d_e) view states, which fusion and the graph constraint read.
 
     Only the training loss reads the class tokens, and only at the known
     entries of the (n, c) ``label_mask``: those K tokens are computed and
     scored (``class_token_encoder_forward``). Evaluation passes no mask, so
     K = 0 and the class-token heads score nothing."""
-    embedded = embed_views(views, view_mask, params, rng)
-    view_states = view_encoder_forward(embedded, view_mask, params, rng)
+    stream = embed_views(views, view_mask, params, rng)
+    view_states = view_encoder_forward(stream, view_mask, params, rng)
     fused = adaptive_fusion(view_states, view_mask, params["fusion.a"], params.config.gamma)
     known = known_pairs(label_mask, (fused.shape[0], params.n_labels))
     consensus, class_states = class_token_encoder_forward(fused, params, rng, known)

@@ -318,6 +318,8 @@ BAD_VIEW_MASKS = {
     "empty_row": (_mask_with(2, 0.0), EmptyRowMask),
 }
 
+VALID_VIEW_MASK = _mask_with(1, [0.0, 1.0, 0.0])
+
 # every caller of check_view_mask, on n = 4 samples and m = 3 views
 VIEW_MASK_CALLERS = {
     "dataset": lambda w: data.MultiViewDataset(
@@ -326,8 +328,9 @@ VIEW_MASK_CALLERS = {
     "embed": lambda w: model.embed_views(
         [np.zeros((4, 2))] * 3, w, model.ModelParams.initialize(
             model.ModelConfig(d_e=4, heads=2, dtype="float64"), [2, 2, 2], 2)),
+    # the stream of VALID_VIEW_MASK's present rows
     "view_encoder": lambda w: model.view_encoder_forward(
-        Tensor(np.zeros((4, 3, 4))), w, model.ModelParams.initialize(
+        Tensor(np.zeros((np.count_nonzero(VALID_VIEW_MASK), 4))), w, model.ModelParams.initialize(
             model.ModelConfig(d_e=4, heads=2, dtype="float64"), [2, 2, 2], 2)),
     "fusion": lambda w: model.adaptive_fusion(
         Tensor(np.zeros((4, 3, 4))), w, Tensor(np.ones(3)), 2.0),
@@ -343,18 +346,70 @@ class TestCheckViewMask:
         mask, error = BAD_VIEW_MASKS[case]
         with pytest.raises(error) as info:
             VIEW_MASK_CALLERS[caller](mask)
-        if error is DimensionMismatch:
+        if (caller, case) == ("view_encoder", "one_row"):
+            # the encoder learns n from the mask alone: a one-row mask is a
+            # valid (1, 3) mask, and the stream does not fit it
+            assert str(info.value) == ("the view stream is (10, 4); the view mask has "
+                                       "3 present rows of width 4")
+        elif error is DimensionMismatch:
             assert str(info.value) == f"view_mask is {mask.shape}, not (4, 3)"
 
     @pytest.mark.parametrize("caller", VIEW_MASK_CALLERS)
     def test_every_caller_accepts_a_valid_mask(self, caller):
-        VIEW_MASK_CALLERS[caller](_mask_with(1, [0.0, 1.0, 0.0]))
+        VIEW_MASK_CALLERS[caller](VALID_VIEW_MASK)
 
     def test_returns_float64_of_any_0_1_dtype(self):
         for mask in ([[1, 0], [0, 1]], np.eye(2, dtype=bool), np.eye(2, dtype=np.float32)):
             w = data.check_view_mask(mask, (2, 2))
             assert w.dtype == np.float64
             np.testing.assert_array_equal(w, np.eye(2))
+
+
+def _label_mask_with(value):
+    g = np.ones((4, 2))
+    g[1, 0] = value
+    return g
+
+
+BAD_LABEL_MASKS = {
+    "one_row": (np.ones((1, 2)), DimensionMismatch),
+    "one_label": (np.ones((4, 1)), DimensionMismatch),
+    "flat": (np.ones(2), DimensionMismatch),
+    "half": (_label_mask_with(0.5), NonBinary),
+    "two": (_label_mask_with(2.0), NonBinary),
+    "minus_one": (_label_mask_with(-1.0), NonBinary),
+}
+
+# every caller of check_label_mask, on n = 4 samples and c = 2 labels
+LABEL_MASK_CALLERS = {
+    "dataset": lambda g: data.MultiViewDataset(
+        views=[np.zeros((4, 2))] * 3, labels=np.zeros((4, 2)), view_mask=np.ones((4, 3)),
+        label_mask=g),
+    "known_pairs": lambda g: model.known_pairs(g, (4, 2)),
+    "masked_bce": lambda g: losses.masked_bce(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), g),
+    "label_similarity": lambda g: losses.label_similarity(np.zeros((4, 2)), g),
+}
+
+
+class TestCheckLabelMask:
+    @pytest.mark.parametrize("caller", LABEL_MASK_CALLERS)
+    @pytest.mark.parametrize("case", BAD_LABEL_MASKS)
+    def test_every_caller_raises_the_same_typed_error(self, caller, case):
+        mask, error = BAD_LABEL_MASKS[case]
+        with pytest.raises(error) as info:
+            LABEL_MASK_CALLERS[caller](mask)
+        if error is DimensionMismatch:
+            assert str(info.value) == f"label_mask is {mask.shape}, not (4, 2)"
+
+    @pytest.mark.parametrize("caller", LABEL_MASK_CALLERS)
+    def test_every_caller_accepts_a_valid_mask(self, caller):
+        LABEL_MASK_CALLERS[caller](_label_mask_with(0.0))
+
+    def test_returns_float64_of_any_0_1_dtype(self):
+        for mask in ([[1, 0], [0, 1]], np.eye(2, dtype=bool), np.eye(2, dtype=np.float32)):
+            g = data.check_label_mask(mask, (2, 2))
+            assert g.dtype == np.float64
+            np.testing.assert_array_equal(g, np.eye(2))
 
 
 class TestCallerKeepsItsArrays:

@@ -308,6 +308,38 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             L.total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), -1.0, 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 10.0, 0.37])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.013])
+    def test_equals_the_weighted_sum_bit_for_bit(self, dtype, alpha, beta):
+        """The stacked sum is ``l_mc + alpha * l_gc + beta * l_ac`` over the
+        positive coefficients, in value and in every gradient."""
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal(7).astype(dtype)
+        scale = rng.standard_normal(7)
+
+        def run(combine):
+            x = Tensor(data.copy(), requires_grad=True)
+            with ad.Tape() as tape:
+                terms = [(x * x).sum(), ad.exp(x).sum(), (x * scale).sum()]
+                loss = combine(*terms)
+                tape.backward(loss)
+            return loss.data, x.grad
+
+        def weighted_sum(l_mc, l_gc, l_ac):
+            loss = l_mc
+            if alpha > 0:
+                loss = loss + alpha * l_gc
+            if beta > 0:
+                loss = loss + beta * l_ac
+            return loss
+
+        value, grad = run(lambda *terms: L.total_loss(*terms, alpha, beta))
+        ref_value, ref_grad = run(weighted_sum)
+        assert value.dtype == dtype and grad.dtype == dtype
+        np.testing.assert_array_equal(value, ref_value)
+        np.testing.assert_array_equal(grad, ref_grad)
+
 
 @st.composite
 def label_subsets(draw):

@@ -241,22 +241,27 @@ class TestRecordsPerStep:
         """Constant factors are folded before they meet an activation:
         fusion scales the states once, the graph term's pair weights carry
         its 1/N and -1/(2m), and a similarity divides by the norm. The
-        prediction sigmoid runs off the tape. Packing costs a few gathers
-        and scatters: each view's embeddings scatter into their column, the
-        view layer gathers its present rows and scatters its Q/K/V and
-        output to the grid, and the class tokens, the token-head weights
-        and the last layer's stream are gathered at the known labels."""
+        prediction sigmoid runs off the tape, and the loss is one stack of
+        its terms, scaled and summed. Packing costs a few gathers and
+        scatters: the embeddings are gathered once into the view stream,
+        the view layer scatters its Q/K/V to the grid, gathers its output
+        back and scatters the last output, and the class tokens, the
+        token-head weights and the last layer's stream are gathered at the
+        known labels."""
         _, tape = self.one_step_tape(monkeypatch)
-        assert len(tape.ops) == 96
-        assert tape.ops.count("mul") == 9
-        assert tape.ops.count("scatter_rows") == 3 + 2
+        assert len(tape.ops) == 92
+        assert tape.ops.count("mul") == 8
+        assert tape.ops.count("stack") == 1
+        assert tape.ops.count("scatter_rows") == 2
         assert tape.ops.count("take") == 2 + 4 + 2
 
     def test_no_per_step_weight_packing(self, monkeypatch):
         """A training step concatenates and reshapes only activations: the
-        packed ``wqkv`` weights are parameters, not rebuilt each step."""
+        packed ``wqkv`` weights are parameters, not rebuilt each step. The
+        concatenations join the views' embeddings, and the fused rows with
+        the class tokens twice."""
         params, tape = self.one_step_tape(monkeypatch)
-        assert tape.ops.count("concat") == 2
+        assert tape.ops.count("concat") == 3
         assert tape.ops.count("reshape") == 1
         leaves = [p for _, p in params.items()]
         for inputs in tape.concat_inputs:
