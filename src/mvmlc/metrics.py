@@ -8,6 +8,9 @@ deterministic.
 Each metric is a whole-matrix numpy pass: one sort along the rows (AP,
 1 - RL) or the columns (AUC) of the score matrix, then cumulative sums, so
 the cost is a few sorts per matrix and the temporaries are O(n * c).
+``compute_report`` sorts the rows once, for AP and 1 - RL together. The
+pairwise metrics sum each positive's rank and correct only the tied
+positions; those sums are exact, so no sort order changes a value.
 
 Each metric's helper (``_ap``, ``_rl``, or ``_concordance`` on the transposed
 matrices for AUC) gives one value per unit (sample or label) it can score and
@@ -54,39 +57,79 @@ def _mean(values, ok, error) -> float:
     return float(values.sum()) / evaluated
 
 
-def _ap(s, y):
-    """Per row: the AP of its label ranking, and whether it has a positive label."""
-    c = s.shape[1]
-    # descending score, ties broken by ascending label index (stable sort)
-    order = np.argsort(-s, axis=1, kind="stable")
-    hits = np.take_along_axis(y, order, axis=1)
+def _reorder(order, s, y):
+    """s and y with each row's entries put in that row of ``order``."""
+    flat = order + np.arange(len(order))[:, None] * order.shape[1]
+    return s.take(flat), y.take(flat)
+
+
+def _rank_rows(s, y):
+    """Each row's scores and labels in descending score order, ties broken by
+    ascending column index (a stable sort)."""
+    return _reorder(np.argsort(-s, axis=1, kind="stable"), s, y)
+
+
+def _ap_ranked(hits):
+    """Per row: the AP of its labels ``hits`` in rank order, and whether it
+    has a positive label."""
+    c = hits.shape[1]
     precision = np.cumsum(hits, axis=1) / np.arange(1, c + 1)
     n_pos = hits.sum(axis=1)
     ok = n_pos > 0
     return (precision * hits).sum(axis=1)[ok] / n_pos[ok], ok
 
 
-def _concordance(s, y):
-    """Per row: the fraction of (positive, negative) pairs whose positive
-    scores higher, a tie counting half, and whether the row has both kinds."""
-    rows, k = s.shape
-    order = np.argsort(s, axis=1)  # the order inside a tie group is irrelevant
-    sorted_s = np.take_along_axis(s, order, axis=1)
-    # 1-based ascending ranks; a tie group spans ranks start..end
-    rank = np.broadcast_to(np.arange(1, k + 1), (rows, k))
-    first = np.ones((rows, k), dtype=bool)
-    first[:, 1:] = sorted_s[:, 1:] != sorted_s[:, :-1]
-    last = np.ones((rows, k), dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    start = np.maximum.accumulate(np.where(first, rank, 0), axis=1)
-    end = np.minimum.accumulate(np.where(last, rank, k + 1)[:, ::-1], axis=1)[:, ::-1]
-    pos = np.take_along_axis(y, order, axis=1)
-    n_pos = pos.sum(axis=1)
+def _tie_offsets(differs, hits):
+    """Per row of scores in descending order, where position p of k ranks
+    k - p: how much its positives' rank sum grows when each tie group takes
+    the mean of its ranks. ``differs[:, p]`` tells whether positions p and
+    p + 1 hold other scores. Only tied positions are visited."""
+    row, at = np.nonzero(~differs)  # tied neighbours at positions at and at + 1
+    # each run of tied neighbours at a, ..., b - 1 in a row is one tie group a..b
+    opens = np.ones(row.size, dtype=bool)
+    opens[1:] = (row[1:] != row[:-1]) | (at[1:] != at[:-1] + 1)
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], row.size) - 1
+    a, b, group_row = at[first], at[last] + 1, row[first]
+    mean = (a + b) / 2.0
+    # a positive at p moves from rank k - p to k - mean, so by p - mean; the
+    # neighbour pairs cover each group's positions a..b - 1, and b comes last
+    rows = len(hits)
+    return (np.bincount(row, hits[row, at] * (at - mean[np.cumsum(opens) - 1]), rows)
+            + np.bincount(group_row, hits[group_row, b] * (b - mean), rows))
+
+
+def _concordance_ranked(ranked_s, hits):
+    """Per row of scores in descending order and its labels in that order:
+    the fraction of (positive, negative) pairs whose positive scores higher,
+    a tie counting half, and whether the row has both kinds."""
+    k = hits.shape[1]
+    n_pos = hits.sum(axis=1)
     n_neg = k - n_pos
     ok = (n_pos > 0) & (n_neg > 0)
+    # the sum of the positives' ascending ranks, a tie group sharing the mean
+    # of its ranks; every term is a multiple of a half, so the sum is exact
+    # whatever order it is taken in
+    rank_sum = hits @ np.arange(k, 0, -1.0)
+    differs = ranked_s[:, 1:] != ranked_s[:, :-1]
+    if not differs.all():
+        rank_sum += _tie_offsets(differs, hits)
     # Mann-Whitney count of concordant (pos above neg) pairs, ties at 0.5
-    concordant = ((start + end) / 2.0 * pos).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    concordant = rank_sum - n_pos * (n_pos + 1) / 2.0
     return concordant[ok] / (n_pos[ok] * n_neg[ok]), ok
+
+
+def _ap(s, y):
+    """Per row: the AP of its label ranking, and whether it has a positive label."""
+    return _ap_ranked(_rank_rows(s, y)[1])
+
+
+def _concordance(s, y):
+    """``_concordance_ranked`` of each row of s, labelled by y. A transposed
+    matrix is copied to contiguous rows first, which sort and gather faster."""
+    s, y = np.ascontiguousarray(s), np.ascontiguousarray(y)
+    # descending; the order inside a tie group is irrelevant
+    return _concordance_ranked(*_reorder(np.argsort(s, axis=1)[:, ::-1], s, y))
 
 
 def _rl(s, y):
@@ -137,8 +180,10 @@ class MetricsReport:
 def compute_report(scores, labels, meta: dict | None = None) -> MetricsReport:
     """All three metrics over one score matrix, with skip counts."""
     s, y = _validate(scores, labels)
-    ap, ap_ok = _ap(s, y)
-    rl, rl_ok = _rl(s, y)
+    ranked_s, hits = _rank_rows(s, y)
+    ap, ap_ok = _ap_ranked(hits)
+    fraction, rl_ok = _concordance_ranked(ranked_s, hits)
+    rl = 1.0 - fraction
     auc, auc_ok = _concordance(s.T, y.T)
     return MetricsReport(
         ap=_mean(ap, ap_ok, _NO_AP),

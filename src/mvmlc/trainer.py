@@ -66,8 +66,9 @@ from .model import ForwardPass, ModelConfig, ModelParams, forward
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# rows per forward pass in evaluate; scores do not depend on it
-EVAL_BATCH_SIZE = 512
+# rows per forward pass in evaluate; scores depend on it only up to float32
+# rounding
+EVAL_BATCH_SIZE = 2048
 # glibc's mallopt parameter numbers, and the values train sets for them
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 HEAP_SETTINGS = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 32 << 20))
@@ -326,7 +327,8 @@ def train(
                 raise NonFiniteLoss(f"epoch {epoch}, step {step}: loss={loss.item()}")
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             adam_step(params, grads, state, train_config)
-            if not params.all_finite():
+            # every parameter is a view of the flat vector adam_step updates
+            if not np.isfinite(state.flat_p).all():
                 raise NonFiniteLoss(
                     f"epoch {epoch}, step {step}: non-finite parameter after update")
 
@@ -355,18 +357,21 @@ def evaluate(params: ModelParams, dataset: MultiViewDataset) -> MetricsReport:
 
     View availability is respected; labels are taken as full ground truth,
     so pass an uncorrupted split. The rows run ``EVAL_BATCH_SIZE`` at a
-    time; per-sample independence makes that size irrelevant to the result.
-    Only the main head is ranked, so the forward pass gets no label mask:
-    the last class layer computes the consensus query alone.
+    time, as contiguous slices, so each forward pass reads views of the
+    dataset's arrays, not copies. Samples are scored independently, so that
+    size changes the scores only up to float32 rounding: a GEMM over more
+    rows may split its sums differently, and two nearly tied scores may
+    swap. Only the main head is ranked, so the forward pass gets no label
+    mask: the last class layer computes the consensus query alone.
     """
     if params.n_labels != dataset.c:
         raise DimensionMismatch(
             f"the model predicts {params.n_labels} labels but the dataset has {dataset.c}")
     scores = np.empty((dataset.n, dataset.c))
     for start in range(0, dataset.n, EVAL_BATCH_SIZE):
-        idx = np.arange(start, min(start + EVAL_BATCH_SIZE, dataset.n))
-        out = forward(_batch_views(dataset, idx), dataset.view_mask[idx], params)
-        scores[idx] = out.p_main.data
+        rows = slice(start, start + EVAL_BATCH_SIZE)
+        out = forward(_batch_views(dataset, rows), dataset.view_mask[rows], params)
+        scores[rows] = out.p_main.data
     if np.any(dataset.label_mask == 0):
         warnings.warn("evaluating against a dataset with masked labels; "
                       "metrics treat its zero-filled labels as ground truth")

@@ -255,3 +255,57 @@ class TestAgainstOraclesProperty:
             "ap_samples": int((~mx._ap(scores, labels)[1]).sum()),
             "rl_samples": int((~mx._rl(scores, labels)[1]).sum()),
             "auc_labels": int((~mx._concordance(scores.T, labels.T)[1]).sum())}
+
+
+@st.composite
+def mixed_tie_instances(draw):
+    """Continuous scores in which a drawn share of entries copies its left
+    neighbour's in the row, or the one above in the column: tie-free rows and
+    columns sit beside tied ones. (1, c) and (n, 1) shapes are drawn too."""
+    kind = draw(st.sampled_from(["grid", "grid", "grid", "one row", "one column"]))
+    n = 1 if kind == "one row" else draw(st.integers(2, 30))
+    c = 1 if kind == "one column" else draw(st.integers(2, 20))
+    shape = (n, c)
+    scores = draw(hnp.arrays(np.float64, shape, unique=True,
+                             elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    share = draw(st.sampled_from([0.03, 0.1, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    left = rng.random(shape)[:, 1:] < share
+    scores[:, 1:][left] = scores[:, :-1][left]
+    above = rng.random(shape)[1:] < share
+    scores[1:][above] = scores[:-1][above]
+    labels = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0])))
+    return scores, labels
+
+
+class TestMixedTiesProperty:
+    @settings(derandomize=True, deadline=None)
+    @given(mixed_tie_instances())
+    def test_report_equals_single_metrics_and_oracles(self, instance):
+        scores, labels = instance
+        n, c = labels.shape
+        single = {}
+        for field, metric, oracle, error in (
+                ("ap", mx.average_precision, oracle_average_precision, NoEvaluableSamples),
+                ("one_minus_rl", mx.one_minus_ranking_loss, oracle_one_minus_ranking_loss,
+                 NoEvaluableSamples),
+                ("auc", mx.macro_auc, oracle_macro_auc, NoEvaluableLabels)):
+            expected = oracle(scores, labels)
+            if expected is None:
+                with pytest.raises(error):
+                    metric(scores, labels)
+            else:
+                single[field] = metric(scores, labels)
+                assert abs(single[field] - expected) < 1e-12
+        if len(single) < 3:
+            with pytest.raises((NoEvaluableSamples, NoEvaluableLabels)):
+                mx.compute_report(scores, labels)
+            return
+        report = mx.compute_report(scores, labels)
+        assert {field: getattr(report, field) for field in single} == single
+        row_pos, col_pos = labels.sum(axis=1), labels.sum(axis=0)
+        assert report.n_eval == n
+        assert report.skipped == {
+            "ap_samples": int((row_pos == 0).sum()),
+            "rl_samples": int(((row_pos == 0) | (row_pos == c)).sum()),
+            "auc_labels": int(((col_pos == 0) | (col_pos == n)).sum())}

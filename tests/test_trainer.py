@@ -502,6 +502,20 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss), np.errstate(over="ignore", invalid="ignore"):
             train(mc, tc, ds)
 
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_non_finite_parameter_after_update_aborts(self, monkeypatch, which):
+        # train checks Adam's flat vector, of which every parameter is a view
+        real_step = trainer_mod.adam_step
+
+        def poisoned_step(params, grads, state, config):
+            real_step(params, grads, state, config)
+            params[params.names()[which]].data.flat[0] = np.inf
+
+        monkeypatch.setattr(trainer_mod, "adam_step", poisoned_step)
+        mc, tc = small_configs(epochs=1)
+        with pytest.raises(NonFiniteLoss, match="step 0: non-finite parameter after update"):
+            train(mc, tc, small_dataset())
+
     def test_periodic_eval(self):
         ds = small_dataset()
         train_ds, test_ds = data.split(ds, 0.7, seed=1)
@@ -607,6 +621,37 @@ class TestEvaluate:
             assert (got["n_eval"], got["skipped"]) == (want["n_eval"], want["skipped"])
         # evaluation ran the consensus-only path, with no class-token state
         assert seen and all(out.class_states.shape == (0, 16) for out in seen)
+
+    def test_slices_are_views_of_the_dataset_and_cover_every_row(self, monkeypatch):
+        passes, ranked = [], []
+        real_report = trainer_mod.compute_report
+
+        def kept_forward(views, view_mask, params):
+            passes.append((views, view_mask))
+            return M.forward(views, view_mask, params)
+
+        def kept_report(scores, labels, meta=None):
+            ranked.append(scores)
+            return real_report(scores, labels, meta)
+
+        ds = small_dataset(n=50, m=3, seed=5)
+        masked = data.apply_masks(ds, view_mask=data.simulate_missing_views(50, 3, 0.4, seed=5))
+        params = ModelParams.initialize(ModelConfig(d_e=16, heads=2, dtype="float64"),
+                                        masked.view_dims, masked.c, seed=2)
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH_SIZE", 16)
+        monkeypatch.setattr(trainer_mod, "forward", kept_forward)
+        monkeypatch.setattr(trainer_mod, "compute_report", kept_report)
+        evaluate(params, masked)
+        assert [len(mask) for _, mask in passes] == [16, 16, 16, 2]
+        for views, mask in passes:
+            assert all(np.shares_memory(x, own) for x, own in zip(views, masked.views, strict=True))
+            assert np.shares_memory(mask, masked.view_mask)
+        # the partial last slice is scored, as a pass over its two rows alone
+        (scores,) = ranked
+        tail = M.forward([x[48:] for x in masked.views], masked.view_mask[48:], params)
+        assert np.array_equal(scores[48:], tail.p_main.data)
+        full = M.forward(masked.views, masked.view_mask, params)
+        np.testing.assert_allclose(scores, full.p_main.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("model_labels", [1, 6])
     def test_label_count_mismatch_raises(self, model_labels):
