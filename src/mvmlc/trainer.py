@@ -240,7 +240,7 @@ class RunHistory:
         return cls(records)
 
 
-def _batch_views(ds: MultiViewDataset, idx: np.ndarray):
+def _batch_views(ds: MultiViewDataset, idx: np.ndarray | slice):
     return [x[idx] for x in ds.views]
 
 
